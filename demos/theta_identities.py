@@ -1,6 +1,6 @@
 """Theta functions: quasi-periodicity, Fay's identity, kernel periods.
 
-Evaluates the Riemann theta function with a certified truncation bound,
+Evaluates the Riemann theta function with a truncation and rounding bound,
 verifies the quasi-periodicity law at a random genus 2 point, runs the
 four-point trisecant identity, and integrates the theta-derived second
 kind kernel over the two cycles of a torus.
@@ -20,7 +20,7 @@ rng = np.random.default_rng(7)
 tau2 = np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 1.5j]])
 u = rng.normal(size=2) + 0.2j * rng.normal(size=2)
 val, err = theta(u, tau2, with_error=True)
-print("theta(u) = %s  (certified truncation error %.1e)" % (val, err))
+print("theta(u) = %s  (truncation and rounding bound %.1e)" % (val, err))
 print("quasi-periodicity residual: %.1e" % theta_quasi_residual(u, tau2, [1, -2], [0, 1]))
 
 tau = 1.3j

@@ -141,11 +141,6 @@ class BivariatePoly:
             return -1
         return max(i for i, _ in self.coeffs)
 
-    def diff_x(self):
-        return BivariatePoly(
-            {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i != 0}
-        )
-
     def diff_y(self):
         return BivariatePoly(
             {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j != 0}
@@ -182,13 +177,6 @@ class BivariatePoly:
             return Fraction(0) if isinstance(x, (int, Fraction)) else 0.0 * x
         return total
 
-    def subs_y(self, y_value):
-        """Substitute a rational number for y, returning coefficients in x."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c * _pow(_fr(y_value), j)
-        return {i: c for i, c in out.items() if c != 0}
-
     # -- canonical text form ------------------------------------------------
 
     def __str__(self):
@@ -223,10 +211,6 @@ class BivariatePoly:
         """List of [i, j, "num/den"] triples in canonical order."""
         keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
         return [[i, j, str(self.coeffs[(i, j)])] for i, j in keys]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({(int(i), int(j)): Fraction(s) for i, j, s in data})
 
 
 def _pow(base, n):
@@ -372,10 +356,12 @@ def parse_poly(text):
 # -- resultant over Q[x] -----------------------------------------------------
 
 
-def _uni_eval(coeffs, x0):
-    acc = Fraction(0)
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule; exact when x and the
+    coefficients are rational, and elementwise for an array x."""
+    acc = 0 * x
     for c in reversed(coeffs):
-        acc = acc * x0 + c
+        acc = acc * x + c
     return acc
 
 
@@ -403,8 +389,8 @@ def resultant_y(p, q):
     xs = [Fraction(k) for k in range(bound)]
     values = []
     for x0 in xs:
-        pc = [_uni_eval(prows[j], x0) if j < len(prows) else Fraction(0) for j in range(m + 1)]
-        qc = [_uni_eval(qrows[j], x0) if j < len(qrows) else Fraction(0) for j in range(n + 1)]
+        pc = [horner(prows[j], x0) if j < len(prows) else Fraction(0) for j in range(m + 1)]
+        qc = [horner(qrows[j], x0) if j < len(qrows) else Fraction(0) for j in range(n + 1)]
         values.append(_sylvester_det(pc, qc, m, n))
     interp = _lagrange(xs, values)
     return BivariatePoly({(i, 0): c for i, c in enumerate(interp) if c != 0})

@@ -7,7 +7,6 @@ are printed with full round-trip precision (17 significant digits).
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -18,19 +17,6 @@ from . import selftest as selftest_mod
 from . import theta as theta_mod
 from . import torus as torus_mod
 from . import wpvol
-
-
-def _threads():
-    """Parallelism cap from RSURF_THREADS (all paths run sequentially,
-    which trivially respects any cap; the value is validated here)."""
-    raw = os.environ.get("RSURF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("RSURF_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise ValueError("RSURF_THREADS must be >= 1")
-    return n
 
 
 def _jnum(x):
@@ -128,7 +114,7 @@ def _cmd_theta(args):
     tau = _parse_tau_matrix(args.tau)
     u = _parse_vector(args.u)
     val, err = theta_mod.theta(u, tau, with_error=True)
-    return {"value": _jnum(val), "error": float(err), "tolerance": args.eps}
+    return {"value": _jnum(val), "error": float(err)}
 
 
 def _cmd_fay_check(args):
@@ -272,10 +258,9 @@ def _build_parser():
     p.add_argument("--hyperelliptic")
     p.set_defaults(fn=_cmd_fundform)
 
-    p = sub.add_parser("theta", help="Riemann theta value with certified error")
+    p = sub.add_parser("theta", help="Riemann theta value with its error bound")
     p.add_argument("--tau", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--eps", type=float, default=1e-12)
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("fay-check", help="random Fay identity residuals")
@@ -321,7 +306,6 @@ def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads()
         if args.subcommand == "fundform" and not args.poly and not args.hyperelliptic:
             raise ValueError("fundform needs --poly or --hyperelliptic")
         result = args.fn(args)

@@ -8,7 +8,7 @@ four-variable correction polynomial determined by the support of P.
 from fractions import Fraction
 from math import isqrt
 
-from .algebra import BivariatePoly
+from .algebra import BivariatePoly, horner
 from .newton import DegeneratePolygonError, _hull
 
 ON_CURVE_RTOL = 1e-10
@@ -24,13 +24,6 @@ class HyperellipticSplit:
 
     def __repr__(self):
         return "HyperellipticSplit(U=%r, V=%r)" % (self.u_coeffs, self.v_coeffs)
-
-
-def _poly_eval(coeffs, x):
-    acc = 0.0 * x if not isinstance(x, complex) else 0j
-    for c in reversed(coeffs):
-        acc = acc * x + (float(c) if isinstance(c, Fraction) else c)
-    return acc
 
 
 def _sqrt_fraction(a):
@@ -86,7 +79,7 @@ def hyperelliptic_split(q_coeffs):
 
 
 def _check_on_curve_hyp(split, x, y):
-    q = _poly_eval(split.q_coeffs, x)
+    q = horner(split.q_coeffs, x)
     scale = max(abs(y) ** 2, abs(q), 1.0)
     if abs(y * y - q) > ON_CURVE_RTOL * scale:
         raise ValueError("point is not on y^2 = Q(x)")
@@ -106,10 +99,10 @@ def hyperelliptic_B(split, p, q):
         raise ZeroDivisionError("kernel has a double pole on the diagonal")
     if x == xp:
         raise ZeroDivisionError("coincident x projections")
-    u = _poly_eval(split.u_coeffs, x)
-    up = _poly_eval(split.u_coeffs, xp)
-    v = _poly_eval(split.v_coeffs, x)
-    vp = _poly_eval(split.v_coeffs, xp)
+    u = horner(split.u_coeffs, x)
+    up = horner(split.u_coeffs, xp)
+    v = horner(split.v_coeffs, x)
+    vp = horner(split.v_coeffs, xp)
     num = y * yp + u * up + 0.5 * (v + vp)
     return num / (2.0 * y * yp * (x - xp) ** 2)
 

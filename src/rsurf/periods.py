@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import roots_univariate
+from .algebra import horner, roots_univariate
 
 __all__ = [
     "HyperellipticCurve",
@@ -44,10 +44,7 @@ class HyperellipticCurve:
     anchor_y: complex = field(default=0j)
 
     def q(self, x):
-        acc = 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
 
 def build_curve(coeffs):
@@ -218,7 +215,6 @@ def _b_path(curve, e1, e2, clearance):
         other = c2 if end == c1 else c1
         out = (end - other) / abs(end - other)
         waypoint = end + out * 2.0 * clearance
-        mid = len(path) // 2
         path = (
             _route(curve, e1, waypoint, clearance=clearance)
             + _route(curve, waypoint, e2, clearance=clearance)[1:]

@@ -109,9 +109,6 @@ class QuadDiff:
             raise ValueError("denominator does not vanish doubly at %s" % (p,))
         return num / shift[2] if shift.get(2) else _raise_zero()
 
-    def double_pole_coefficients(self, poles):
-        return {p: self.leading_at(p) for p in poles}
-
 
 def _raise_zero():
     raise ValueError("pole order exceeds two")

@@ -1,11 +1,14 @@
-"""Riemann theta functions with certified truncation and the kernels
-built from them.
+"""Riemann theta functions with a truncation and rounding bound, and the
+kernels built from them.
 
 The series Theta(u | tau) = sum_n exp(i pi n^T tau n + 2 pi i n^T u) is
-summed over an integer box after translating u by the lattice so that the
-Gaussian center is near the origin; the discarded tail is bounded by a
-shell-by-shell Gaussian estimate, and every evaluation carries its bound.
-Genus up to 8 is accepted.
+summed over one integer box after translating u by the lattice so that the
+Gaussian center is near the origin.  One pass gives the value, gradient and
+Hessian, and each comes with a bound on its error: the discarded tail by a
+shell-by-shell Gaussian estimate, plus the rounding of the sum and of every
+term's exponent, in the manner of Deconinck, Heil, Bobenko, van Hoeij and
+Schmies, "Computing Riemann theta functions" (Math. Comp. 2004).  Genus up
+to 8 is accepted.
 
 On top of the bare series the module provides the theta gradient and
 Hessian, quasi-periodicity residuals, odd half characteristics, the
@@ -64,57 +67,82 @@ def _validate(u, tau):
     return u, tau
 
 
-def _recenter(u, tau):
-    """Translate u by the lattice so Im u is small; return (v, prefactor).
+# unit roundoff of a double
+_U = 2.0**-53
+# the box grows until the tail is below _EPS of the largest term, up to
+# _MAX_BOX; the tail estimate sums the shells _SHELLS
+_EPS = 5e-16
+_MAX_BOX = 80
+_SHELLS = np.arange(3.0, 481.0)
 
-    Theta(u) = prefactor * Theta(v) by quasi-periodicity.
+
+def _theta_sum(u, tau, order):
+    """Theta and its u-derivatives up to ``order`` (at most 2) from one sum.
+
+    Returns ``(jet, err)``: ``jet`` is ``[value, gradient, Hessian]`` cut
+    after ``order``, ``err`` the matching bounds on their errors.  The
+    prefactor exp(p) of Theta(u) = exp(p) sum_n exp(i pi n tau n + 2 pi i n v)
+    is folded into every term, so the u-derivatives carry the weights
+    2 pi i (n - m').  A bound is the Gaussian tail outside the box plus,
+    to first order in the unit roundoff, the rounding of the sum
+    (gamma_N sum |term|) and of each term's exponent, which grows with the
+    size of the numbers the exponent is formed from.
     """
-    y = tau.imag
-    mprime = np.round(np.linalg.solve(y, u.imag)).astype(int)
+    g = u.shape[0]
+    x, y = tau.real, tau.imag
+    # u = v + tau m' + m with Im v small; c = Y^-1 Im v is minus the
+    # Gaussian centre
+    s = np.linalg.solve(y, u.imag)
+    mprime = np.round(s)
+    c = s - mprime
     v = u - tau @ mprime
-    m = np.round(v.real).astype(int)
-    v = v - m
-    # Theta(v + tau m') = exp(-i pi m' tau m' - 2 pi i m' v) Theta(v)
-    prefactor = np.exp(-1j * np.pi * (mprime @ tau @ mprime) - 2j * np.pi * (mprime @ v))
-    return v, prefactor, mprime
-
-
-def _theta_sum(v, tau, derivs, eps=5e-16):
-    """Theta and derivatives at a recentered argument with a tail bound."""
-    g = v.shape[0]
-    y = tau.imag
+    v -= np.round(v.real)
     lam = np.linalg.eigvalsh(y)[0]
-    c = np.linalg.solve(y, v.imag)
-    peak = float(np.exp(np.pi * (c @ y @ c)))
-    order = len(derivs)
+    p = -1j * np.pi * (mprime @ tau @ mprime) - 2j * np.pi * (mprime @ v)
+    peak = float(np.exp(np.pi * (c @ y @ c) + p.real))
 
-    def tail(box):
-        total = 0.0
-        for k in range(box, box + 400):
-            # lattice points with sup-norm k sit at Y-distance >= sqrt(lam)(k - |c|)
-            dist = max(0.0, k - float(np.max(np.abs(c))) )
-            shell = 2 * g * (2 * k + 1) ** (g - 1)
-            term = shell * np.exp(-np.pi * lam * dist * dist)
-            if order:
-                term *= (2 * np.pi * (k + 1.0)) ** order
-            total += term
-            if term < 1e-300:
-                break
-        return peak * total
+    # points of sup-norm k sit at Y-distance >= sqrt(lam) (k - |c|); the
+    # tail outside box b is the suffix sum of the shells k >= b
+    dist = np.maximum(0.0, _SHELLS - np.max(np.abs(c)))
+    shells = peak * 2 * g * (2 * _SHELLS + 1) ** (g - 1) * np.exp(-np.pi * lam * dist**2)
+    weight = 2 * np.pi * (_SHELLS + 1 + np.max(np.abs(mprime)))
+    tails = [np.cumsum((shells * weight**k)[::-1])[::-1] for k in range(order + 1)]
+    fits = np.flatnonzero(tails[order][: _MAX_BOX - 2] <= _EPS * peak)
+    box = int(_SHELLS[fits[0]]) if fits.size else _MAX_BOX
+    trunc = [t[box - 3] for t in tails]
 
-    box = 3
-    while tail(box) > eps * peak and box < 80:
-        box += 1
+    n = (np.indices((2 * box + 1,) * g, dtype=float).reshape(g, -1) - box).T
+    re = -np.pi * np.einsum("ki,ij,kj->k", n, y, n) - 2 * np.pi * (n @ v.imag) + p.real
+    im = np.pi * np.einsum("ki,ij,kj->k", n, x, n) + 2 * np.pi * (n @ v.real) + p.imag
+    terms = np.exp(re + 1j * im)
 
-    rng = np.arange(-box, box + 1)
-    grids = np.meshgrid(*([rng] * g), indexing="ij")
-    n = np.stack([gr.ravel() for gr in grids], axis=-1).astype(float)
-    quad = np.einsum("ki,ij,kj->k", n, tau, n)
-    expo = 1j * np.pi * quad + 2j * np.pi * (n @ v)
-    terms = np.exp(expo)
-    for idx in derivs:
-        terms = terms * (2j * np.pi * n[:, idx])
-    return complex(np.sum(terms)), float(tail(box))
+    # rounding: gamma_N sum |term| for the sum, and per term the error of its
+    # exponent, through |n|^T |tau| |n| <= rho |n|^2 and the sizes of v, u and
+    # tau m' (v carries the error of forming it); the constants leave slack
+    # for the weights and the final scalings
+    nn = np.sqrt(np.einsum("ki,ki->k", n, n))
+    rho = np.linalg.norm(tau)
+    mp = np.linalg.norm(mprime)
+    scale = np.linalg.norm(v) + np.linalg.norm(u) + rho * mp
+    size = np.pi * rho * (nn**2 + mp**2) + 2 * np.pi * (nn + mp) * scale
+    count = terms.size + 8
+    gamma = count * _U / (1 - count * _U)
+    rnd = np.abs(terms) * (gamma + _U * ((2 * g * g + 8) * size + 16))
+
+    jet = [np.sum(terms)]
+    err = [trunc[0] + np.sum(rnd)]
+    if order >= 1:
+        w = np.subtract(n, mprime, out=n)  # n - m', exact
+        tr, ti = terms.real, terms.imag
+        jet.append(2j * np.pi * (w.T @ tr + 1j * (w.T @ ti)))
+        if order == 2:
+            hess = np.einsum("ki,kj,k->ij", w, w, tr) + 1j * np.einsum("ki,kj,k->ij", w, w, ti)
+            jet.append(-4 * np.pi**2 * hess)
+        np.abs(w, out=w)
+        err.append(trunc[1] + 2 * np.pi * (w.T @ rnd))
+        if order == 2:
+            err.append(trunc[2] + 4 * np.pi**2 * np.einsum("ki,kj,k->ij", w, w, rnd))
+    return jet, err
 
 
 def theta(u, tau, derivs=(), with_error=False):
@@ -122,57 +150,28 @@ def theta(u, tau, derivs=(), with_error=False):
 
     ``derivs`` lists the u-indices of applied partial derivatives, e.g.
     ``(0, 0)`` for the second derivative in u_1 at genus one.  When
-    ``with_error`` is set, returns ``(value, bound)`` where ``bound`` is a
-    certified absolute bound on the truncation error.
+    ``with_error`` is set, returns ``(value, bound)`` where ``bound`` bounds
+    the truncation and rounding error.
     """
     u, tau = _validate(u, tau)
-    v, prefactor, mprime = _recenter(u, tau)
-    if not derivs:
-        val, err = _theta_sum(v, tau, ())
-        out = prefactor * val
-        if with_error:
-            return out, abs(prefactor) * err
-        return out
-    # derivatives of the prefactor relation:
-    # Theta(u) = P(v) Theta(v) with dv/du = Id and P carrying -2 pi i m'
-    # per differentiation
-    if len(derivs) == 1:
-        val, e0 = _theta_sum(v, tau, ())
-        d1, e1 = _theta_sum(v, tau, derivs)
-        k = -2j * np.pi * mprime[derivs[0]]
-        out = prefactor * (d1 + k * val)
-        err = abs(prefactor) * (e1 + abs(k) * e0)
-    elif len(derivs) == 2:
-        i, j = derivs
-        val, e0 = _theta_sum(v, tau, ())
-        di, ei = _theta_sum(v, tau, (i,))
-        dj, ej = _theta_sum(v, tau, (j,))
-        dij, eij = _theta_sum(v, tau, (i, j))
-        ki = -2j * np.pi * mprime[i]
-        kj = -2j * np.pi * mprime[j]
-        out = prefactor * (dij + ki * dj + kj * di + ki * kj * val)
-        err = abs(prefactor) * (eij + abs(ki) * ej + abs(kj) * ei + abs(ki * kj) * e0)
-    else:
+    if len(derivs) > 2:
         raise NotImplementedError("derivatives up to order two are supported")
+    k = len(derivs)
+    jet, err = _theta_sum(u, tau, k)
+    out = complex(jet[k][tuple(derivs)])
     if with_error:
-        return out, err
+        return out, float(err[k][tuple(derivs)])
     return out
 
 
 def theta_grad(u, tau):
-    u_arr, tau_arr = _validate(u, tau)
-    g = u_arr.shape[0]
-    return np.array([theta(u_arr, tau_arr, derivs=(i,)) for i in range(g)])
+    u, tau = _validate(u, tau)
+    return _theta_sum(u, tau, 1)[0][1]
 
 
 def theta_hessian(u, tau):
-    u_arr, tau_arr = _validate(u, tau)
-    g = u_arr.shape[0]
-    h = np.empty((g, g), dtype=complex)
-    for i in range(g):
-        for j in range(i, g):
-            h[i, j] = h[j, i] = theta(u_arr, tau_arr, derivs=(i, j))
-    return h
+    u, tau = _validate(u, tau)
+    return _theta_sum(u, tau, 2)[0][2]
 
 
 def theta_quasi_residual(u, tau, m, mprime):
@@ -218,14 +217,17 @@ def _default_odd_point(tau):
     return char_point(odd_characteristics(g)[0], tau)
 
 
-def _log_theta_hessian(v, tau):
-    val, err = theta(v, tau, with_error=True)
+def _off_divisor(val, err, what):
+    """``val`` unless it is within 1e3 times its error bound of zero."""
     if abs(val) < 1e3 * max(err, 1e-300):
-        raise ThetaDivisorError(
-            "theta value %.3e is below the certified threshold" % abs(val)
-        )
-    grad = theta_grad(v, tau)
-    hess = theta_hessian(v, tau)
+        raise ThetaDivisorError(what)
+    return val
+
+
+def _log_theta_hessian(v, tau):
+    v, tau = _validate(v, tau)
+    (val, grad, hess), (err, _, _) = _theta_sum(v, tau, 2)
+    _off_divisor(val, err, "theta value %.3e is below its error threshold" % abs(val))
     return hess / val - np.outer(grad, grad) / val**2
 
 
@@ -271,23 +273,14 @@ def kernel_shift(tau, kappa, up, uq, dup, duq, shift=None):
 # -- genus one kernels -------------------------------------------------------
 
 
-def _theta1(v, tau):
+def _theta1(v, tau, derivs=()):
     """Theta(v + c) at genus one with c = (1 + tau)/2, scalar in, scalar out."""
-    c = (1.0 + tau) / 2.0
-    return theta(np.array([v + c]), np.array([[tau]]))
+    return theta(np.array([v + (1.0 + tau) / 2.0]), np.array([[tau]]), derivs)
 
 
-def _theta1_checked(v, tau):
-    c = (1.0 + tau) / 2.0
-    val, err = theta(np.array([v + c]), np.array([[tau]]), with_error=True)
-    if abs(val) < 1e3 * max(err, 1e-300):
-        raise ThetaDivisorError("prime form argument sits on the theta divisor")
-    return val
-
-
-def _theta1_prime(v, tau):
-    c = (1.0 + tau) / 2.0
-    return theta(np.array([v + c]), np.array([[tau]]), derivs=(0,))
+def _theta_checked(u, tau, what):
+    """Theta(u) for a value a kernel divides by."""
+    return _off_divisor(*theta(u, tau, with_error=True), what)
 
 
 def prime_form_g1(z, w, tau):
@@ -295,15 +288,21 @@ def prime_form_g1(z, w, tau):
 
     Vanishes simply at z = w and nowhere else on the fundamental cell.
     """
-    return _theta1(z - w, tau) / _theta1_prime(0.0, tau)
+    return _theta1(z - w, tau) / _theta1(0.0, tau, (0,))
+
+
+def _dlog_theta1(v, tau):
+    """d/dv log Theta(v + c) at genus one, from one sum."""
+    u, tau_m = _validate([v + (1.0 + tau) / 2.0], [[tau]])
+    (val, grad), (err, _) = _theta_sum(u, tau_m, 1)
+    _off_divisor(val, err, "prime form argument sits on the theta divisor")
+    return complex(grad[0] / val)
 
 
 def third_kind_form_g1(z, q1, q2, tau):
     """Normalized third kind differential with residues +1 at q1, -1 at q2,
     evaluated at z (coefficient against dz)."""
-    t1 = _theta1_checked(z - q1, tau)
-    t2 = _theta1_checked(z - q2, tau)
-    return _theta1_prime(z - q1, tau) / t1 - _theta1_prime(z - q2, tau) / t2
+    return _dlog_theta1(z - q1, tau) - _dlog_theta1(z - q2, tau)
 
 
 def szego_g1(z, w, zeta, tau, omega_integral=0.0):
@@ -315,10 +314,8 @@ def szego_g1(z, w, zeta, tau, omega_integral=0.0):
     tau_m = np.array([[tau]])
     c = (1.0 + tau) / 2.0
     e = np.array([zeta + c])
-    num, nerr = theta(np.array([z - w]) + e, tau_m, with_error=True)
-    den, derr = theta(e, tau_m, with_error=True)
-    if abs(den) < 1e3 * max(derr, 1e-300):
-        raise ThetaDivisorError("zeta + c sits on the theta divisor")
+    num = theta(np.array([z - w]) + e, tau_m)
+    den = _theta_checked(e, tau_m, "zeta + c sits on the theta divisor")
     ef = prime_form_g1(z, w, tau)
     return np.exp(omega_integral) * num / (ef * den)
 
@@ -327,9 +324,7 @@ def _psi_plain(a, b, e, tau):
     """theta_e(a - b) / (E(a, b) theta_e(0)) with theta_e(v) = Theta(v + e)."""
     tau_m = np.array([[tau]])
     num = theta(np.array([a - b + e]), tau_m)
-    den, derr = theta(np.array([e]), tau_m, with_error=True)
-    if abs(den) < 1e3 * max(derr, 1e-300):
-        raise ThetaDivisorError("shift sits on the theta divisor")
+    den = _theta_checked(np.array([e]), tau_m, "shift sits on the theta divisor")
     return num / (prime_form_g1(a, b, tau) * den)
 
 
@@ -350,9 +345,9 @@ def fay_check(tau, zeta, pairs):
     for a, b in pairs:
         tau_m = np.array([[tau]])
         num = theta(np.array([a - b + e0 + acc]), tau_m)
-        den, derr = theta(np.array([e0 + acc]), tau_m, with_error=True)
-        if abs(den) < 1e3 * max(derr, 1e-300):
-            raise ThetaDivisorError("chained shift sits on the theta divisor")
+        den = _theta_checked(
+            np.array([e0 + acc]), tau_m, "chained shift sits on the theta divisor"
+        )
         factor = num / (prime_form_g1(a, b, tau) * den)
         # exp of int_b^a of the previously accumulated third kind forms
         for ap, bp in prev:

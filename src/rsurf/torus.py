@@ -1,9 +1,9 @@
 """Genus-one building blocks: the Weierstrass function and modular moves.
 
 The lattice is always normalized to Z + tau Z with Im tau > 0.  The
-Weierstrass function is summed over a disc of lattice points at two radii
-and Richardson-extrapolated (the leading tail after symmetric cancellation
-decays like 1/R^2), which buys several digits for free.
+Weierstrass function and its derivative are quotients of Jacobi theta
+functions, each a genus-one Riemann theta value from the lattice sum of
+:mod:`rsurf.theta`, so they carry its error bounds.
 """
 
 from __future__ import annotations
@@ -12,21 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .theta import _U, _theta_sum
+
 __all__ = [
     "weierstrass_p",
     "weierstrass_p_prime",
     "reduce_modular",
     "apply_modular_g1",
 ]
-
-
-def _lattice(tau, radius):
-    """Lattice points m + n tau with 0 < |point| <= radius, as an array."""
-    span = int(radius / min(1.0, abs(tau.imag))) + 2
-    m, n = np.meshgrid(np.arange(-span, span + 1), np.arange(-span, span + 1))
-    pts = m + n * tau
-    mask = (np.abs(pts) <= radius) & ((m != 0) | (n != 0))
-    return pts[mask]
 
 
 def _reduce_cell(z, tau):
@@ -38,17 +31,13 @@ def _reduce_cell(z, tau):
     return alpha + beta * tau
 
 
-def _p_sum(z, tau, radius):
-    omega = _lattice(tau, radius)
-    return 1.0 / z**2 + np.sum(1.0 / (z + omega) ** 2 - 1.0 / omega**2)
-
-
-def weierstrass_p(z, tau, radius=40.0, with_error=False):
-    """Weierstrass p-function on C / (Z + tau Z).
-
-    Lattice sums at ``radius`` and ``2 * radius`` are extrapolated against
-    the 1/R^2 tail; the difference of the two partial sums is reported as
-    the error estimate when ``with_error`` is set.
+def _quotient(z, tau, order):
+    """(a, b, err, dlog) with p(z) = -a - b, err its first-order error and
+    dlog = d/dz log a at ``order`` 1.  With T(u) = Theta(u | tau),
+    theta_3 = T(0), theta_2 = e^(i pi tau/4) T(tau/2), theta_4(pi z) =
+    T(z + 1/2) and theta_1(pi z) = -i e^(i pi tau/4 + i pi z) T(z + 1/2 + tau/2),
+    so a = (pi e^(-i pi z) T(tau/2) T(0) T(z + 1/2) / T(z + 1/2 + tau/2))^2
+    and b = (pi^2 / 3)(theta_2^4 + theta_3^4).
     """
     z = complex(z)
     tau = complex(tau)
@@ -57,28 +46,43 @@ def weierstrass_p(z, tau, radius=40.0, with_error=False):
     z = _reduce_cell(z, tau)
     if z == 0:
         raise ZeroDivisionError("pole of the p-function")
-    s1 = _p_sum(z, tau, radius)
-    s2 = _p_sum(z, tau, 2 * radius)
-    value = s2 + (s2 - s1) / 3.0
+    tau_m = np.array([[tau]])
+    sums = [
+        _theta_sum(np.array([u]), tau_m, k)
+        for u, k in ((tau / 2, 0), (0j, 0), (z + 0.5, order), (z + 0.5 + tau / 2, order))
+    ]
+    t2, t3, t4, t1 = [jet[0] for jet, _ in sums]
+    rel = [err[0] / abs(jet[0]) for jet, err in sums]
+    a = (np.pi * np.exp(-1j * np.pi * z) * t2 * t3 * t4 / t1) ** 2
+    th2 = np.exp(1j * np.pi * tau) * t2**4
+    b = np.pi**2 / 3 * (th2 + t3**4)
+    err = (
+        2 * abs(a) * sum(rel)
+        + 4 * np.pi**2 / 3 * (abs(th2) * rel[0] + abs(t3) ** 4 * rel[1])
+        + _U * (2 * np.pi * (abs(z) + abs(tau)) + 32) * (abs(a) + abs(b))
+    )
+    dlog = None
+    if order:
+        d4, d1 = [jet[1][0] for jet, _ in sums[2:]]
+        dlog = 2 * (d4 / t4 - d1 / t1 - 1j * np.pi)
+    return a, b, err, dlog
+
+
+def weierstrass_p(z, tau, with_error=False):
+    """Weierstrass p-function on C / (Z + tau Z), as the theta quotient
+    (pi theta_2 theta_3 theta_4(pi z) / theta_1(pi z))^2
+    - (pi^2 / 3)(theta_2^4 + theta_3^4).  With ``with_error`` set, returns
+    ``(value, err)``, ``err`` propagated from the four theta bounds."""
+    a, b, err, _ = _quotient(z, tau, 0)
     if with_error:
-        return value, abs(s2 - s1)
-    return value
+        return -a - b, err
+    return -a - b
 
 
-def weierstrass_p_prime(z, tau, radius=40.0):
-    """Derivative of the p-function: -2 sum over the full lattice."""
-    z = complex(z)
-    tau = complex(tau)
-    z = _reduce_cell(z, tau)
-
-    def partial(r):
-        omega = _lattice(tau, r)
-        return -2.0 / z**3 + np.sum(-2.0 / (z + omega) ** 3)
-
-    s1 = partial(radius)
-    s2 = partial(2 * radius)
-    # tail here decays like 1/R^3 after symmetric cancellation
-    return s2 + (s2 - s1) / 7.0
+def weierstrass_p_prime(z, tau):
+    """Derivative of the p-function, -a d/dz log a from order-one jets."""
+    a, _, _, dlog = _quotient(z, tau, 1)
+    return -a * dlog
 
 
 def reduce_modular(tau, max_steps=1000):

@@ -221,9 +221,6 @@ class VolumePoly:
             total += term
         return total
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, PiPoly())
-
     def __str__(self):
         if not self.terms:
             return "0"

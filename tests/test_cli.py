@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import jsonschema
@@ -147,12 +146,3 @@ def test_out_file(tmp_path, capsys):
     on_disk = json.loads(target.read_text())
     assert on_disk == out
 
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("RSURF_THREADS", "zero")
-    payload = run_error(capsys, ["strebel", "--L", "2,3,4"])
-    assert "RSURF_THREADS" in payload["message"]
-    monkeypatch.setenv("RSURF_THREADS", "0")
-    run_error(capsys, ["strebel", "--L", "2,3,4"])
-    monkeypatch.setenv("RSURF_THREADS", "2")
-    run_json(capsys, ["strebel", "--L", "2,3,4"])

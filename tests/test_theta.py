@@ -168,9 +168,62 @@ def test_degenerate_szego_pole_and_nodes():
         assert degenerate_szego(w + eps, w, nodes) * eps == pytest.approx(1.0, rel=1e-3)
 
 
+def _siegel_spread(rng, g):
+    """tau whose Im tau has eigenvalues in [0.3, 2], so that the box size and
+    the tail bound matter."""
+    q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    a = rng.normal(size=(g, g))
+    return 0.15 * (a + a.T) + 1j * (q * rng.uniform(0.3, 2.0, g)) @ q.T
+
+
+def _theta_jet_reference(u, tau):
+    """Value, gradient and Hessian of Theta by a plain sum over a box around
+    the Gaussian centre, wide enough that the terms left out are below
+    1e-30 of the largest."""
+    g = u.shape[0]
+    width = int(np.sqrt(25.0 / np.linalg.eigvalsh(tau.imag)[0])) + 2
+    centre = np.round(-np.linalg.solve(tau.imag, u.imag))
+    n = np.indices((2 * width + 1,) * g).reshape(g, -1).T - width + centre
+    terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", n, tau, n) + 2j * np.pi * (n @ u))
+    grad = 2j * np.pi * (n.T @ terms)
+    hess = -4 * np.pi**2 * np.einsum("ki,kj,k->ij", n, n, terms)
+    return np.sum(terms), grad, hess
+
+
+def _assert_within_bounds(u, tau, ref):
+    """Every value, gradient and Hessian entry is within its bound of ref."""
+    g = u.shape[0]
+    cases = [()] + [(i,) for i in range(g)]
+    cases += [(i, j) for i in range(g) for j in range(i, g)]
+    for derivs in cases:
+        val, err = theta(u, tau, derivs=derivs, with_error=True)
+        want = np.asarray(ref[len(derivs)])[derivs]
+        assert abs(val - want) <= err, (derivs, abs(val - want), err)
+
+
 def test_theta_error_bound_certifies_value():
     tau = np.array([[1.1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.4j]])
     u = np.array([0.3 + 0.05j, -0.2 + 0.1j])
     val, err = theta(u, tau, with_error=True)
     assert err < 1e-12 * abs(val)
     assert ThetaDivisorError.__mro__[1] is ArithmeticError
+    # seeded sweep against a wider plain sum
+    rng = np.random.default_rng(30)
+    for g, trials in ((1, 12), (2, 10), (3, 6), (4, 3)):
+        for _ in range(trials):
+            tau = _siegel_spread(rng, g)
+            u = rng.normal(size=g) * 1.5 + 1j * rng.normal(size=g)
+            _assert_within_bounds(u, tau, _theta_jet_reference(u, tau))
+
+
+def test_theta_error_bound_against_jtheta():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    for _ in range(24):
+        tau = _siegel_spread(rng, 1)
+        u = rng.normal(size=1) * 1.5 + 1j * rng.normal(size=1)
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau[0, 0]))
+            z = mpmath.pi * mpmath.mpc(u[0])
+            d = [complex(mpmath.pi**k * mpmath.jtheta(3, z, q, k)) for k in range(3)]
+        _assert_within_bounds(u, tau, (d[0], np.array([d[1]]), np.array([[d[2]]])))

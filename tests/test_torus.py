@@ -34,8 +34,8 @@ def test_p_prime_matches_finite_difference():
     tau = 0.1 + 1.3j
     z = 0.27 + 0.19j
     h = 1e-5
-    fd = (weierstrass_p(z + h, tau, radius=120.0) - weierstrass_p(z - h, tau, radius=120.0)) / (2 * h)
-    assert weierstrass_p_prime(z, tau, radius=120.0) == pytest.approx(fd, rel=1e-5)
+    fd = (weierstrass_p(z + h, tau) - weierstrass_p(z - h, tau)) / (2 * h)
+    assert weierstrass_p_prime(z, tau) == pytest.approx(fd, rel=1e-5)
 
 
 def test_differential_equation():
@@ -43,12 +43,29 @@ def test_differential_equation():
     # e1 + e2 + e3 = 0 and p' vanishes there
     tau = 1.1j
     es = [
-        weierstrass_p(h, tau, radius=120.0)
+        weierstrass_p(h, tau)
         for h in (0.5, tau / 2, (1 + tau) / 2)
     ]
     assert sum(es) == pytest.approx(0.0, abs=1e-7)
     for h in (0.5, tau / 2, (1 + tau) / 2):
-        assert abs(weierstrass_p_prime(h, tau, radius=120.0)) < 1e-7
+        assert abs(weierstrass_p_prime(h, tau)) < 1e-7
+
+
+def _p_oracle(z, tau):
+    """p and p' as mpmath Jacobi theta quotients:
+    p = (pi theta_2 theta_3 theta_4(pi z) / theta_1(pi z))^2
+    - (pi^2 / 3)(theta_2^4 + theta_3^4)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
+
+        def p(w):
+            pw = mpmath.pi * w
+            ratio = mpmath.pi * t2 * t3 * mpmath.jtheta(4, pw, q) / mpmath.jtheta(1, pw, q)
+            return ratio**2 - mpmath.pi**2 / 3 * (t2**4 + t3**4)
+
+        return complex(p(mpmath.mpc(z))), complex(mpmath.diff(p, mpmath.mpc(z)))
 
 
 def test_p_pole_and_error_estimate():
@@ -56,8 +73,20 @@ def test_p_pole_and_error_estimate():
     with pytest.raises(ZeroDivisionError):
         weierstrass_p(1 + tau, tau)  # lattice point
     val, err = weierstrass_p(0.3, tau, with_error=True)
-    ref = weierstrass_p(0.3, tau, radius=200.0)
-    assert abs(val - ref) < 50 * err + 1e-12
+    ref, _ = _p_oracle(0.3, tau)
+    assert abs(val - ref) <= err
+
+
+def test_p_and_p_prime_match_theta_quotient():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        ref, ref_prime = _p_oracle(z, tau)
+        val, err = weierstrass_p(z, tau, with_error=True)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        assert abs(val - ref) <= err
+        assert abs(weierstrass_p_prime(z, tau) - ref_prime) <= 1e-12 * abs(ref_prime)
 
 
 def test_reduce_modular_known_values():
