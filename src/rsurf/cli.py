@@ -157,7 +157,7 @@ def _cmd_torus(args):
 
 def _cmd_periods(args):
     curve = periods.build_curve(_univariate_coeffs(args.q))
-    tau, ma, mb = periods.period_matrix(curve, tol=args.tol)
+    tau, ma, mb = periods.period_matrix(curve)
     res, pos = periods.bilinear_check(ma, mb)
     return {
         "branch_points": [_jnum(b) for b in curve.branch_points],
@@ -166,7 +166,6 @@ def _cmd_periods(args):
         "tau": [[_jnum(v) for v in row] for row in tau],
         "bilinear_residual": float(res),
         "positivity": float(pos),
-        "tolerance": args.tol,
     }
 
 
@@ -277,7 +276,6 @@ def _build_parser():
 
     p = sub.add_parser("periods", help="hyperelliptic period matrix")
     p.add_argument("--q", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_periods)
 
     p = sub.add_parser("rr", help="Riemann-Roch dimensions")

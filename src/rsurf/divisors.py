@@ -81,20 +81,9 @@ def rr_genus0(div):
 
 
 def _lattice_distance(u, tau):
-    """Distance from u to Z^g + tau Z^g (scalar or vector data)."""
-    if np.ndim(tau) == 0:
-        u = complex(u)
-        tau = complex(tau)
-        n = round(u.imag / tau.imag)
-        best = None
-        for dn in (-1, 0, 1):
-            v = u - (n + dn) * tau
-            m = round(v.real)
-            d = abs(v - m)
-            best = d if best is None else min(best, d)
-        return best
-    u = np.asarray(u, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
+    """Distance from u to Z^g + tau Z^g; a scalar u and tau mean g = 1."""
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    tau = np.atleast_2d(np.asarray(tau, dtype=complex))
     n = np.round(np.linalg.solve(tau.imag, u.imag))
     best = None
     for shift in np.ndindex(*(3,) * len(u)):

@@ -1,22 +1,31 @@
-"""Period matrices of hyperelliptic curves y^2 = Q(x) by contour quadrature.
+"""Period matrices, Abel map and Riemann constant of hyperelliptic curves.
 
-Q must have even degree 2g + 2 >= 4 and distinct roots.  Branch points are
-sorted by (real, imaginary) and paired consecutively into g + 1 cuts.  The
-A_i cycle is an ellipse around cut i (i = 1..g) integrated by the periodic
-trapezoid rule, with the sheet of y = sqrt(Q) tracked by continuity from a
-principal-branch anchor far from all cuts.  The B_i cycle passes through
-cut i and cut g + 1; its period is twice the integral along the straight
-segment between the two nearest cut endpoints, where the inverse square
-root endpoint singularities are absorbed by a sine substitution.
+The curve is y^2 = Q(x), where Q has even degree 2g + 2 >= 4 and distinct
+roots, the branch points.  Following Molin and Neurohr ("Computing period
+matrices and the Abel-Jacobi map of superelliptic curves", Math. Comp.
+2019), everything is read from one spanning tree of the branch points:
 
-tau = (M_A)^(-1) M_B is checked for symmetry, symmetrized, and the B
-orientations are flipped when Im tau comes out negative definite.  The
-quadrature is refined until tau is stable to 1e-9.
+* the tree is Prim's maximal spanning tree for the Bernstein-ellipse
+  parameter rho of each straight edge (how far the other branch points lie
+  from it), rooted at branch point 0;
+* the cycle of an edge a -> b runs from a to b on one sheet and back on the
+  other; its periods of x^k dx / y (k < g) come from Gauss-Chebyshev
+  quadrature with a node count fixed up front by rho;
+* two edge cycles meet only at a shared branch point, where the sign of
+  their intersection is read off from the directions of y there;
+* an integer symplectic reduction of that intersection matrix gives the A
+  and B cycles, and tau = M_A^-1 M_B.
+
+The Abel map is based at the root.  A branch point maps to half the sum of
+the edge periods on its tree path; any other point is reached by one
+straight segment from the branch point best placed for quadrature.  The
+vector of Riemann constants is the half period read off from the
+quadratic form that the tree cycles carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +42,21 @@ __all__ = [
     "elliptic_K",
 ]
 
+# largest quadrature node count; a branch point closer to a segment than
+# this allows raises, and leggauss at the cap takes about 0.1 s
+_MAX_NODES = 1000
+
 
 @dataclass
 class HyperellipticCurve:
     coeffs: tuple  # Q coefficients, ascending
     branch_points: tuple
-    cuts: tuple  # pairs of branch points, consecutive in canonical order
     genus: int
-    anchor: complex = field(default=0j)
-    anchor_y: complex = field(default=0j)
+    edges: tuple  # spanning-tree edges (i, j) into branch_points, parent first
+    edge_periods: np.ndarray  # [k, e]: period of x^k dx / y over edge cycle e
+    intersections: np.ndarray  # intersection numbers of the edge cycles
+    a_cycles: np.ndarray  # [i, e]: integer coefficients of A_i in edge cycles
+    b_cycles: np.ndarray
 
     def q(self, x):
         return horner(self.coeffs, x)
@@ -59,122 +74,137 @@ def build_curve(coeffs):
     if any(m != 1 for _, m in roots):
         raise ValueError("Q must have distinct roots")
     pts = sorted((complex(r) for r, _ in roots), key=lambda z: (z.real, z.imag))
-    cuts = tuple((pts[2 * i], pts[2 * i + 1]) for i in range(deg // 2))
     genus = deg // 2 - 1
-    curve = HyperellipticCurve(coeffs[: deg + 1], tuple(pts), cuts, genus)
-    span = max(abs(p) for p in pts)
-    curve.anchor = complex(2.0 * span + 3.0, 1.0)
-    curve.anchor_y = np.sqrt(curve.q(curve.anchor))
-    return curve
+    edges, rhos = _tree(pts)
+    for k, (a, b) in enumerate(edges):
+        for c, d in edges[k + 1 :]:
+            if not {a, b} & {c, d} and _segments_cross(pts[a], pts[b], pts[c], pts[d]):
+                raise ArithmeticError("spanning-tree edges cross")
+    lead = coeffs[deg]
+    periods, ends = zip(
+        *(_edge_period(lead, pts, a, b, rho, genus) for (a, b), rho in zip(edges, rhos))
+    )
+    inter = _intersections(edges, ends)
+    a_cycles, b_cycles = _symplectic_basis(inter, genus)
+    return HyperellipticCurve(
+        coeffs[: deg + 1], tuple(pts), genus, tuple(edges),
+        np.array(periods).T, inter, a_cycles, b_cycles,
+    )
 
 
-def _track_y(curve, xs, y0):
-    """Continue y = sqrt(Q) along the discrete path xs, starting from y0."""
-    ys = np.empty(len(xs), dtype=complex)
-    y = y0
-    for k, x in enumerate(xs):
-        s = np.sqrt(curve.q(x))
-        if abs(s - y) > abs(-s - y):
-            s = -s
-        ys[k] = y = s
-    return ys
+def _rho(z):
+    """Bernstein-ellipse parameter of z with respect to [-1, 1]."""
+    s = np.sqrt(z * z - 1.0)
+    return np.maximum(np.abs(z + s), np.abs(z - s))
 
 
-def _route(curve, x_from, x_to, clearance=None):
-    """Polyline from x_from to x_to that detours around branch points."""
-    if clearance is None:
-        dists = [
-            abs(a - b)
-            for i, a in enumerate(curve.branch_points)
-            for b in curve.branch_points[i + 1 :]
-        ]
-        clearance = 0.2 * min(dists)
-    path = [complex(x_from), complex(x_to)]
-    for _ in range(12):
-        changed = False
-        new_path = [path[0]]
-        for a, b in zip(path, path[1:]):
-            seg = b - a
-            seglen = abs(seg)
-            bad = None
-            for p in curve.branch_points:
-                if seglen == 0:
-                    continue
-                t = ((p - a) / seg).real
-                t = min(max(t, 0.0), 1.0)
-                foot = a + t * seg
-                if abs(foot - p) < clearance and 0.05 < t < 0.95:
-                    bad = (p, t, foot)
-                    break
-            if bad is not None:
-                p, t, foot = bad
-                normal = (foot - p) / max(abs(foot - p), 1e-30)
-                if abs(foot - p) < 1e-12:
-                    normal = 1j * seg / seglen
-                new_path.append(p + normal * 1.5 * clearance)
-                changed = True
-            new_path.append(b)
-        path = new_path
-        if not changed:
-            break
-    return path
+def _node_count(rho):
+    """Nodes for 16 digits when the integrand is analytic inside ellipse rho."""
+    n = np.log(1e16) / (2.0 * np.log(rho)) + 8 if rho > 1.0 else np.inf
+    if n > _MAX_NODES:
+        raise ArithmeticError(
+            "a branch point lies too close to a segment (rho - 1 = %.1e)" % (rho - 1.0)
+        )
+    return int(np.ceil(n))
 
 
-def _sample_polyline(path, per_leg):
-    xs = []
-    for a, b in zip(path, path[1:]):
-        ts = np.linspace(0.0, 1.0, per_leg, endpoint=False)
-        xs.extend(a + (b - a) * ts)
-    xs.append(path[-1])
-    return np.asarray(xs, dtype=complex)
+def _tree(pts):
+    """Prim's maximal spanning tree for the weight rho(a, b), rooted at 0."""
+    p = np.asarray(pts)
+    m = len(p)
+    a, b, e = p[:, None, None], p[None, :, None], p[None, None, :]
+    i, j, k = np.ogrid[:m, :m, :m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where((k == i) | (k == j), np.inf, _rho((2 * e - a - b) / (b - a)))
+    weight = rho.min(axis=2)
+    inside, edges, rhos = [0], [], []
+    while len(inside) < m:
+        edge = max(
+            ((s, t) for s in inside for t in range(m) if t not in inside),
+            key=lambda st: weight[st],
+        )
+        edges.append(edge)
+        rhos.append(weight[edge])
+        inside.append(edge[1])
+    return edges, rhos
 
 
-def _y_at(curve, x_target, per_leg=400):
-    """Sheet of y at x_target reached by continuation from the anchor."""
-    path = _route(curve, curve.anchor, x_target)
-    xs = _sample_polyline(path, per_leg)
-    ys = _track_y(curve, xs, curve.anchor_y)
-    return ys[-1]
+def _edge_period(lead, pts, a, b, rho, g):
+    """Periods of x^k dx / y over the cycle of edge a -> b, and y's directions.
+
+    With x = mid + h t, y = C sqrt(1 - t^2) G(t) on the sheet the cycle
+    leaves a on.  Returns the periods and (C G(-1), C G(1)).
+    """
+    ea, eb = pts[a], pts[b]
+    h, mid = (eb - ea) / 2.0, (ea + eb) / 2.0
+    others = np.array([p for k, p in enumerate(pts) if k not in (a, b)])
+    u = (others - mid) / h
+    c = np.sqrt(-lead * h * h * np.prod(mid - others))
+    n = _node_count(rho)
+    t = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n))
+    gt = np.prod(np.sqrt(1.0 - t[:, None] / u[None, :]), axis=1)
+    x = mid + h * t
+    powers = x[None, :] ** np.arange(g)[:, None]
+    period = 2.0 * h / c * (np.pi / n) * np.sum(powers / gt, axis=1)
+    ends = [c * np.prod(np.sqrt(1.0 - s / u)) for s in (-1.0, 1.0)]
+    return period, ends
 
 
-def _ellipse(curve, cut, n):
-    e1, e2 = cut
-    m = (e1 + e2) / 2.0
-    f = abs(e2 - e1) / 2.0
-    rot = (e2 - e1) / abs(e2 - e1)
-    others = [p for p in curve.branch_points if p not in cut]
-    delta = 0.25 * min(abs(p - e) for p in others for e in cut)
-    a = np.sqrt(f * f + delta * delta)
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    xs = m + rot * (a * np.cos(theta) + 1j * delta * np.sin(theta))
-    dxs = rot * (-a * np.sin(theta) + 1j * delta * np.cos(theta)) * (2.0 * np.pi / n)
-    return xs, dxs
+def _intersections(edges, ends):
+    """Intersection matrix of the edge cycles.
+
+    Cycles of edges sharing a branch point v cross there.  y is a local
+    coordinate at v, and each cycle passes through y = 0 along the direction
+    C G(-1) if v is its start, -C G(1) if v is its end.
+    """
+    m = len(edges)
+    inter = np.zeros((m, m), dtype=np.int64)
+    for e in range(m):
+        for f in range(e + 1, m):
+            shared = set(edges[e]) & set(edges[f])
+            if shared:
+                v = shared.pop()
+                de, df = (
+                    ends[k][0] if edges[k][0] == v else -ends[k][1] for k in (e, f)
+                )
+                inter[e, f] = np.sign((np.conj(de) * df).imag)
+                inter[f, e] = -inter[e, f]
+    return inter
 
 
-def _a_periods(curve, n):
-    """Periods of x^(k-1) dx / y over the ellipse contours, all cuts."""
-    g = curve.genus
-    rows = []
-    closures = []
-    for cut in curve.cuts[:g]:
-        xs, dxs = _ellipse(curve, cut, n)
-        y0 = _y_at(curve, xs[0])
-        ys = _track_y(curve, np.concatenate([xs, xs[:1]]), y0)
-        closures.append(abs(ys[-1] - ys[0]) / max(abs(ys[0]), 1e-30))
-        ys = ys[:-1]
-        rows.append([np.sum(xs ** (k - 1) / ys * dxs) for k in range(1, g + 1)])
-    if max(closures) > 1e-6:
-        raise ArithmeticError("sheet tracking failed to close around a cut")
-    return np.array(rows).T  # rows: differential index, cols: cycle
+def _bezout(ns):
+    """Integers c with sum c_i n_i = gcd(ns) >= 0, and that gcd."""
+    d, coef = 0, [0] * len(ns)
+    for i, n in enumerate(ns):
+        r0, r1, x0, x1, y0, y1 = d, n, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        coef = [x0 * c for c in coef]
+        coef[i] = y0
+        d = r0
+    return coef, d
 
 
-_GAUSS_CACHE = {}
-
-
-def _gauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+def _symplectic_basis(inter, g):
+    """Integer A and B cycles with A_i . B_j = delta_ij, A . A = B . B = 0."""
+    vecs = list(np.eye(len(inter), dtype=np.int64))
+    a_cycles, b_cycles = [], []
+    for _ in range(g):
+        for i, a in enumerate(vecs):
+            rest = vecs[:i] + vecs[i + 1 :]
+            coef, d = _bezout([int(a @ inter @ v) for v in rest])
+            if d == 1:
+                break
+        else:
+            raise ArithmeticError("edge cycles hold no unimodular pair")
+        b = sum(c * v for c, v in zip(coef, rest))
+        vecs = [v - (v @ inter @ b) * a + (v @ inter @ a) * b for v in rest]
+        a_cycles.append(a)
+        b_cycles.append(b)
+    return np.array(a_cycles), np.array(b_cycles)
 
 
 def _segments_cross(a1, a2, b1, b2, eps=1e-12):
@@ -183,235 +213,85 @@ def _segments_cross(a1, a2, b1, b2, eps=1e-12):
     def orient(p, q, r):
         return ((q - p).conjugate() * (r - p)).imag
 
-    d1 = orient(a1, a2, b1)
-    d2 = orient(a1, a2, b2)
-    d3 = orient(b1, b2, a1)
-    d4 = orient(b1, b2, a2)
-    scale = max(abs(a2 - a1) * abs(b2 - b1), eps)
+    tol = -eps * max(abs(a2 - a1) * abs(b2 - b1), eps) ** 2
     return (
-        d1 * d2 < -eps * scale * scale and d3 * d4 < -eps * scale * scale
+        orient(a1, a2, b1) * orient(a1, a2, b2) < tol
+        and orient(b1, b2, a1) * orient(b1, b2, a2) < tol
     )
 
 
-def _b_path(curve, e1, e2, clearance):
-    """Polyline from branch point e1 to e2 dodging branch points and cuts."""
-    path = _route(curve, e1, e2, clearance=clearance)
-    for _ in range(8):
-        crossing = None
-        for a, b in zip(path, path[1:]):
-            for cut in curve.cuts:
-                if e1 in cut or e2 in cut:
-                    continue
-                if _segments_cross(a, b, cut[0], cut[1]):
-                    crossing = cut
-                    break
-            if crossing:
-                break
-        if crossing is None:
-            break
-        # detour around the cut endpoint nearest to the straight line
-        c1, c2 = crossing
-        end = min((c1, c2), key=lambda p: abs(p - (e1 + e2) / 2.0))
-        other = c2 if end == c1 else c1
-        out = (end - other) / abs(end - other)
-        waypoint = end + out * 2.0 * clearance
-        path = (
-            _route(curve, e1, waypoint, clearance=clearance)
-            + _route(curve, waypoint, e2, clearance=clearance)[1:]
-        )
-    if len(path) == 2:
-        path = [path[0], (path[0] + path[1]) / 2.0, path[1]]
-    return path
-
-
-def _b_periods(curve, n):
-    """Twice the branch-to-branch integrals linking cut i with cut g+1."""
-    g = curve.genus
-    last = curve.cuts[g]
-    dists = [
-        abs(a - b)
-        for i, a in enumerate(curve.branch_points)
-        for b in curve.branch_points[i + 1 :]
-    ]
-    clearance = 0.2 * min(dists)
-    nodes, weights = _gauss(n)
-    t01 = (nodes + 1.0) / 2.0  # Gauss nodes on [0, 1]
-    w01 = weights / 2.0
-    rows = []
-    for cut in curve.cuts[:g]:
-        e1, e2 = min(
-            ((p, q) for p in cut for q in last), key=lambda pq: abs(pq[0] - pq[1])
-        )
-        path = _b_path(curve, e1, e2, clearance)
-        xs_parts = []
-        dx_parts = []
-        w_parts = []
-        for leg, (a, b) in enumerate(zip(path, path[1:])):
-            if leg == 0:
-                # square-root substitution x = e1 + (b - e1) t^2
-                d = b - a
-                xs_parts.append(a + d * t01 * t01)
-                dx_parts.append(2.0 * d * t01)
-            elif leg == len(path) - 2:
-                d = a - b
-                xs_parts.append(b + d * (1.0 - t01) ** 2)
-                dx_parts.append(-2.0 * d * (1.0 - t01))
-            else:
-                d = b - a
-                xs_parts.append(a + d * t01)
-                dx_parts.append(np.full_like(t01, 1.0) * d)
-            w_parts.append(w01)
-        xs = np.concatenate(xs_parts)
-        dxs = np.concatenate(dx_parts)
-        ws = np.concatenate(w_parts)
-        # anchor the sheet at the interior waypoint farthest from the branch
-        # points, where y is well away from zero, and track both ways
-        ref = path[1]
-        j0 = int(np.argmin(np.abs(xs - ref)))
-        y_ref = _y_at(curve, xs[j0])
-        ys = np.empty(len(xs), dtype=complex)
-        ys[j0:] = _track_y(curve, xs[j0:], y_ref)
-        ys[: j0 + 1] = _track_y(curve, xs[: j0 + 1][::-1], y_ref)[::-1]
-        integ = []
-        for k in range(1, g + 1):
-            vals = xs ** (k - 1) / ys * dxs
-            integ.append(2.0 * np.sum(ws * vals))
-        rows.append(integ)
-    return np.array(rows).T
-
-
-def period_matrix(curve, n0=128, tol=1e-9, max_refine=8):
+def period_matrix(curve):
     """Normalized period matrix tau and the raw period matrices (M_A, M_B).
 
-    Refines the quadrature until tau moves by less than ``tol``; raises if
-    the limit is not symmetric to 100 * tol or Im tau is indefinite.
+    Rows of M_A and M_B index the differentials x^k dx / y, columns the
+    cycles.  Raises if tau is not symmetric to 1e-10 of its size before it
+    is symmetrized, or if Im tau is not positive definite.
     """
-    prev = None
-    n = n0
-    for _ in range(max_refine):
-        ma = _a_periods(curve, n)
-        mb = _b_periods(curve, max(n, 64))
-        tau = np.linalg.solve(ma, mb)
-        if prev is not None and np.max(np.abs(tau - prev)) < tol:
-            break
-        prev = tau
-        n *= 2
-    else:
-        raise ArithmeticError("period quadrature did not stabilize")
-    # the routed cycles may differ from a canonical homology basis by
-    # per-cycle orientation and by integer A-components picked up along the
-    # way; normalize by a column sign vector plus an integer shear
-    # MB -> MB + MA N (both are symplectic changes of basis), chosen to
-    # make tau symmetric, then flip all B's if Im tau < 0
-    g = curve.genus
-    scale = max(1.0, float(np.max(np.abs(tau))))
-    best = None
-    from itertools import product as _product
-
-    for signs in _product((1.0, -1.0), repeat=g):
-        if signs[0] < 0:
-            continue
-        sv = np.asarray(signs)
-        cand = tau * sv[None, :]
-        shear = np.zeros((g, g))
-        for i in range(g):
-            for j in range(i):
-                shear[i, j] = round(float((cand[j, i] - cand[i, j]).real))
-        cand = cand + shear
-        asym = float(np.max(np.abs(cand - cand.T)))
-        if best is None or asym < best[0]:
-            best = (asym, sv, shear)
-    asym, sv, shear = best
-    if asym > 100 * tol * scale:
+    ma = curve.edge_periods @ curve.a_cycles.T
+    mb = curve.edge_periods @ curve.b_cycles.T
+    tau = np.linalg.solve(ma, mb)
+    asym = float(np.max(np.abs(tau - tau.T)))
+    if not asym <= 1e-10 * max(1.0, float(np.max(np.abs(tau)))):
         raise ArithmeticError("period matrix is not symmetric: %.3e" % asym)
-    mb = mb * sv[None, :] + ma @ shear
-    tau = tau * sv[None, :] + shear
     tau = (tau + tau.T) / 2.0
-    eig = np.linalg.eigvalsh(tau.imag)
-    if eig[-1] < 0:
-        mb = -mb
-        tau = -tau
-        eig = np.linalg.eigvalsh(tau.imag)
-    if eig[0] <= 0:
+    if not np.linalg.eigvalsh(tau.imag)[0] > 0:
         raise ArithmeticError("Im tau is not positive definite")
     return tau, ma, mb
 
 
-def abel_map(curve, point, ma=None, n=2000):
-    """Abel image of a point (x, y) with respect to the anchor basepoint.
+def abel_map(curve, point):
+    """Abel image of the point (x, y), based at branch point 0.
 
-    ``ma`` is the raw A-period matrix from :func:`period_matrix` (computed
-    on the fly when omitted); the result uses the normalized differentials,
-    so it is defined modulo Z^g + tau Z^g.
+    The result uses the normalized differentials, so it is defined modulo
+    Z^g + tau Z^g.  The point is reached from the branch point e for which
+    the segment [e, x] lies farthest from the other branch points, by
+    Gauss-Legendre quadrature in w with x = e + (x - e) w^2; y picks the
+    sheet at the end of that segment.
     """
-    if ma is None:
-        _, ma, _ = period_matrix(curve)
-    x_t, y_t = point
+    x, y = complex(point[0]), complex(point[1])
     g = curve.genus
-    path = _route(curve, curve.anchor, x_t)
-    xs = _sample_polyline(path, max(n // max(len(path) - 1, 1), 200))
-    ys = _track_y(curve, xs, curve.anchor_y)
-    if abs(ys[-1] - y_t) > abs(ys[-1] + y_t):
-        # target lies on the other sheet: prepend a loop around one branch point
-        b = curve.branch_points[0]
-        loop = _loop_then_path(curve, b, x_t, n)
-        xs, ys = loop
-        if abs(ys[-1] - y_t) > 1e-6 * max(1.0, abs(y_t)):
-            raise ArithmeticError("sheet continuation does not reach the point")
-    raw = np.empty(g, dtype=complex)
-    mid_x = 0.5 * (xs[1:] + xs[:-1])
-    dx = xs[1:] - xs[:-1]
-    mid_y = 0.5 * (ys[1:] + ys[:-1])
-    for k in range(1, g + 1):
-        vals = mid_x ** (k - 1) / mid_y
-        raw[k - 1] = np.sum(vals * dx)
-    return np.linalg.solve(ma, raw)
+    _, ma, _ = period_matrix(curve)
+    pts = np.asarray(curve.branch_points)
+    half = {0: np.zeros(g, dtype=complex)}
+    for k, (i, j) in enumerate(curve.edges):
+        half[j] = half[i] + curve.edge_periods[:, k] / 2.0
+    if x in curve.branch_points:
+        return np.linalg.solve(ma, half[curve.branch_points.index(x)])
+    # the integrand in w is singular at +-sqrt(v_k)
+    v = (pts[None, :] - pts[:, None]) / (x - pts[:, None])
+    rho = _rho(np.sqrt(v))
+    np.fill_diagonal(rho, np.inf)
+    j = int(np.argmax(rho.min(axis=1)))
+    e, vk = pts[j], np.delete(v[j], j)
+    w, weights = np.polynomial.legendre.leggauss(_node_count(rho[j].min()))
+    c = np.sqrt(curve.coeffs[-1] * (x - e) * np.prod(e - np.delete(pts, j)))
+    end = c * np.prod(np.sqrt(1.0 - 1.0 / vk))  # y at w = 1 on the sheet of c
+    if abs(y + end) < abs(y - end):
+        c = -c
+    f = c * np.prod(np.sqrt(1.0 - w[:, None] ** 2 / vk[None, :]), axis=1)
+    xs = e + (x - e) * w * w
+    raw = (x - e) * np.sum(weights * xs[None, :] ** np.arange(g)[:, None] / f, axis=1)
+    return np.linalg.solve(ma, half[j] + raw)
 
 
-def _loop_then_path(curve, b, x_t, n):
-    """Anchor -> near b -> full small circle around b -> target."""
-    others = [p for p in curve.branch_points if p != b]
-    r = 0.3 * min(abs(p - b) for p in others)
-    start = b + r
-    path1 = _route(curve, curve.anchor, start)
-    xs1 = _sample_polyline(path1, max(n // 2, 200))
-    theta = np.linspace(0.0, 2.0 * np.pi, max(n, 400), endpoint=False)
-    circle = b + r * np.exp(1j * theta)
-    path2 = _route(curve, start, x_t)
-    xs2 = _sample_polyline(path2, max(n // 2, 200))
-    xs = np.concatenate([xs1, circle, xs2])
-    ys = _track_y(curve, xs, curve.anchor_y)
-    return xs, ys
+def riemann_constant(curve):
+    """Vector of Riemann constants for the base point of :func:`abel_map`.
 
-
-def riemann_constant(curve, tau=None, ma=None, n=4096):
-    """Vector of Riemann constants for the anchor basepoint.
-
-    K_k = (1 + tau_kk) / 2 - sum_{l != k} oint_{A_l} u_k du_l, with u the
-    Abel map continued continuously along each A contour.  With this
-    normalization theta(K + u(p)) vanishes for every point p of the curve.
+    theta(K + u(D)) vanishes for every effective divisor D of degree g - 1.
+    K is the half period (q(B) + tau q(A)) / 2 of the quadratic form q on
+    H_1(Z/2) with q(edge cycle) = g mod 2 at the root and 1 elsewhere,
+    q(c + d) = q(c) + q(d) + c . d.
     """
-    if tau is None or ma is None:
-        tau, ma, _ = period_matrix(curve)
-    g = curve.genus
-    c = np.linalg.inv(ma)  # du_k = sum_j c[k, j] x^(j) dx / y
-    k_vec = np.array([(1.0 + tau[k, k]) / 2.0 for k in range(g)], dtype=complex)
-    for l, cut in enumerate(curve.cuts[:g]):
-        xs, dxs = _ellipse(curve, cut, n)
-        y0 = _y_at(curve, xs[0])
-        ys = _track_y(curve, np.concatenate([xs, xs[:1]]), y0)[:-1]
-        basis = np.array([xs ** (k - 1) / ys for k in range(1, g + 1)])
-        du = c @ (basis * dxs)  # du[k, t], already weighted by the step
-        # reference the running Abel values at the contour point farthest
-        # from the cut, where the route integral is most accurate
-        j0 = n // 4
-        u_ref = abel_map(curve, (xs[j0], ys[j0]), ma=ma)
-        u_along = np.cumsum(du, axis=1) - du / 2.0
-        u_along = u_along - u_along[:, j0][:, None] + u_ref[:, None]
-        for k in range(g):
-            if k != l:
-                k_vec[k] -= np.sum(u_along[k] * du[l])
-    return k_vec
+    tau, _, _ = period_matrix(curve)
+    q_edge = np.array([curve.genus % 2 if 0 in edge else 1 for edge in curve.edges])
+    upper = np.triu(curve.intersections, 1)
+
+    def q(c):
+        return (c @ q_edge + c @ upper @ c) % 2
+
+    qa = np.array([q(a) for a in curve.a_cycles])
+    qb = np.array([q(b) for b in curve.b_cycles])
+    return 0.5 * (qb + tau @ qa)
 
 
 def reduce_lattice(v, tau):

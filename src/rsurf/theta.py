@@ -59,7 +59,7 @@ def _validate(u, tau):
         raise ValueError("genus %d exceeds the supported maximum %d" % (g, _MAX_GENUS))
     if tau.shape != (g, g):
         raise ValueError("tau must be %d x %d" % (g, g))
-    if not np.allclose(tau, tau.T, atol=1e-12):
+    if not np.max(np.abs(tau - tau.T)) <= 1e-12 * max(1.0, np.max(np.abs(tau))):
         raise ValueError("tau must be symmetric")
     y = tau.imag
     if np.linalg.eigvalsh(y)[0] <= 0:

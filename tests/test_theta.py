@@ -83,6 +83,8 @@ def test_gradient_and_hessian_match_finite_differences():
 def test_validate_rejects_bad_tau():
     with pytest.raises(ValueError):
         theta(np.zeros(2), np.array([[1j, 0.2], [0.3, 1j]]))  # not symmetric
+    with pytest.raises(ValueError):  # asymmetric by 2e-6, far above rounding
+        theta(np.zeros(2), [[1j, 0.2 + 0.1j], [0.2 + 0.1j + 2e-6, 1.2j]])
     with pytest.raises(ValueError):
         theta(np.zeros(1), np.array([[1.0 - 1j]]))  # Im tau not positive
 
