@@ -2,13 +2,20 @@
 kernels built from them.
 
 The series Theta(u | tau) = sum_n exp(i pi n^T tau n + 2 pi i n^T u) is
-summed over one integer box after translating u by the lattice so that the
-Gaussian center is near the origin.  One pass gives the value, gradient and
-Hessian, and each comes with a bound on its error: the discarded tail by a
-shell-by-shell Gaussian estimate, plus the rounding of the sum and of every
-term's exponent, in the manner of Deconinck, Heil, Bobenko, van Hoeij and
-Schmies, "Computing Riemann theta functions" (Math. Comp. 2004).  Genus up
-to 8 is accepted.
+summed over the integer points of one ellipsoid in the metric Im tau,
+widened so that it fits every u once u is translated by the lattice to
+bring the Gaussian center near the origin.  Everything that depends on tau
+alone (validation, the points enumerated Fincke-Pohst style, their
+quadratic forms, the tail bounds) is a per-tau plan, built once and kept
+for the last few taus, so a call forms only the terms linear in u.  One
+pass gives the value, gradient and Hessian for one u or a batch, and each
+comes with a bound on its error: the discarded tail by a shell-by-shell
+Gaussian estimate plus a term for the points of the box left outside the
+ellipsoid, and the rounding of the sum and of every term's exponent, in the
+manner of Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing
+Riemann theta functions" (Math. Comp. 2004).  Genus up to 8 is accepted; a
+tau whose point set would pass _MAX_POINTS raises ThetaBudgetError before
+it is enumerated.
 
 On top of the bare series the module provides the theta gradient and
 Hessian, quasi-periodicity residuals, odd half characteristics, the
@@ -20,12 +27,15 @@ Hirota limit, and the genus-zero degeneration of the Szego kernel.
 
 from __future__ import annotations
 
+import functools
+import math
 from itertools import product
 
 import numpy as np
 
 __all__ = [
     "ThetaDivisorError",
+    "ThetaBudgetError",
     "theta",
     "theta_grad",
     "theta_hessian",
@@ -51,20 +61,8 @@ class ThetaDivisorError(ArithmeticError):
     """Theta value vanishes to working precision; the kernel is singular."""
 
 
-def _validate(u, tau):
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    tau = np.atleast_2d(np.asarray(tau, dtype=complex))
-    g = u.shape[0]
-    if g > _MAX_GENUS:
-        raise ValueError("genus %d exceeds the supported maximum %d" % (g, _MAX_GENUS))
-    if tau.shape != (g, g):
-        raise ValueError("tau must be %d x %d" % (g, g))
-    if not np.max(np.abs(tau - tau.T)) <= 1e-12 * max(1.0, np.max(np.abs(tau))):
-        raise ValueError("tau must be symmetric")
-    y = tau.imag
-    if np.linalg.eigvalsh(y)[0] <= 0:
-        raise ValueError("Im tau must be positive definite")
-    return u, tau
+class ThetaBudgetError(ArithmeticError):
+    """The lattice sum at this tau needs more points than the module allows."""
 
 
 # unit roundoff of a double
@@ -74,74 +72,179 @@ _U = 2.0**-53
 _EPS = 5e-16
 _MAX_BOX = 80
 _SHELLS = np.arange(3.0, 481.0)
+# plans kept for the taus used last, and the most lattice points one plan
+# may hold (a plan costs (g + 3) 8-byte numbers per point)
+_PLANS = 8
+_MAX_POINTS = 500_000
 
 
-def _theta_sum(u, tau, order):
-    """Theta and its u-derivatives up to ``order`` (at most 2) from one sum.
+def _validate(u, tau):
+    """u as a complex vector and the plan of tau."""
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    tau = np.atleast_2d(np.asarray(tau, dtype=complex))
+    g = u.shape[0]
+    if g > _MAX_GENUS:
+        raise ValueError("genus %d exceeds the supported maximum %d" % (g, _MAX_GENUS))
+    if tau.shape != (g, g):
+        raise ValueError("tau must be %d x %d" % (g, g))
+    return u, _plan(tau.tobytes(), g)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(key, g):
+    """The plan of the g x g tau whose bytes are ``key``.  Keyed by value, so
+    a tau changed in place gets a new plan; an invalid tau raises every time."""
+    return _Plan(np.frombuffer(key, dtype=complex).reshape(g, g))
+
+
+class _Plan:
+    """What the lattice sum at one tau needs that does not depend on u.
+
+    A call recentres u so that the Gaussian centre of the terms is -c with
+    |c|_inf <= 1/2, so one plan fits every u.  Points of sup-norm k sit at
+    Y-distance >= sqrt(lam) (k - 1/2) from the centre: the shells k >= b
+    bound the terms outside the box |n|_inf <= b.  Of its N = (2b+1)^g
+    points only those within Y-distance R of some centre are summed: with
+    Y = r^T r and delta_i = sum_j |r_ij| / 2 >= |(r c)_i|, every n with
+    sum_i max(0, |(r n)_i| - delta_i)^2 <= R^2.  A box point left out lies
+    farther than R from the centre, so those add at most N e^(-pi R^2) =
+    _EPS of the peak term, R^2 = ln(N/_EPS)/pi.  ``tails[i]`` is the sum of
+    both bounds in units of the peak term, each point weighted by the
+    derivative factor 2 pi (|n|_inf + 1) to the power i.
+    """
+
+    def __init__(self, tau):
+        g = tau.shape[0]
+        if not np.max(np.abs(tau - tau.T)) <= 1e-12 * max(1.0, np.max(np.abs(tau))):
+            raise ValueError("tau must be symmetric")
+        y = tau.imag
+        eig = np.linalg.eigvalsh(y)
+        if eig[0] <= 0:
+            raise ValueError("Im tau must be positive definite")
+
+        dist = _SHELLS - 0.5
+        shells = 2 * g * (2 * _SHELLS + 1) ** (g - 1) * np.exp(-np.pi * eig[0] * dist**2)
+        weight = 2 * np.pi * (_SHELLS + 1)
+        tails = [np.cumsum((shells * weight**i)[::-1])[::-1] for i in range(3)]
+        fits = np.flatnonzero(tails[2][: _MAX_BOX - 2] <= _EPS)
+        box = int(_SHELLS[fits[0]]) if fits.size else _MAX_BOX
+        self.tails = [t[box - 3] + _EPS * (2 * np.pi * (box + 1)) ** i for i, t in enumerate(tails)]
+
+        radius = np.sqrt((g * np.log(2 * box + 1) - np.log(_EPS)) / np.pi)
+        r = np.linalg.cholesky(y).T
+        delta = 0.5 * np.sum(np.abs(r), axis=1)
+        # the point count is about the volume of the set, a ball of the
+        # radius plus a box of sides 2 delta (Steiner's formula)
+        sides = np.poly(-2 * delta)
+        volume = sum(
+            np.pi ** (k / 2) / math.gamma(k / 2 + 1) * radius**k * sides[g - k]
+            for k in range(g + 1)
+        ) / np.sqrt(np.prod(eig))
+        if volume > _MAX_POINTS:
+            raise ThetaBudgetError(
+                "about %.3g lattice points exceed the budget of %d" % (volume, _MAX_POINTS)
+            )
+        # slack for the rounding of the enumeration, which must not drop a
+        # point of the set
+        n = _lattice_points(r, delta, radius * (1 + 1e-9))
+
+        self.tau, self.y = tau, y
+        self.yinv = np.linalg.inv(y)
+        self.rho = np.linalg.norm(tau)
+        self.n = n
+        self.qx = np.pi * np.einsum("ki,ki->k", n @ tau.real, n)
+        self.qy = np.pi * np.einsum("ki,ki->k", n @ y, n)
+        self.nn = np.sqrt(np.einsum("ki,ki->k", n, n))
+
+
+def _lattice_points(r, delta, radius):
+    """Integer points n with sum_i max(0, |(r n)_i| - delta_i)^2 <= radius^2
+    for upper triangular r, in the manner of Fincke and Pohst (Math. Comp.
+    1985): the coordinates are fixed from the last one down, every partial
+    point carrying the squared radius it leaves to the rest."""
+    g = r.shape[0]
+    cols = []  # coordinates i + 1, ..., g - 1 of the partial points
+    rest = np.array([radius**2])
+    for i in range(g - 1, -1, -1):
+        t = np.zeros(rest.size)
+        for j, col in enumerate(cols, i + 1):
+            t += r[i, j] * col
+        centre = -t / r[i, i]
+        half = (np.sqrt(np.maximum(rest, 0.0)) + delta[i]) / r[i, i]
+        lo = np.ceil(centre - half)
+        count = (np.floor(centre + half) - lo + 1).astype(np.int64)
+        if count.sum() > _MAX_POINTS:
+            raise ThetaBudgetError("more than %d lattice points to sum" % _MAX_POINTS)
+        idx = np.repeat(np.arange(count.size), count)
+        start = np.cumsum(count) - count
+        ni = lo[idx] + (np.arange(idx.size) - start[idx])
+        rest = rest[idx] - np.maximum(np.abs(r[i, i] * ni + t[idx]) - delta[i], 0.0) ** 2
+        cols = [ni] + [col[idx] for col in cols]
+    return np.column_stack(cols)
+
+
+def _theta_sum(u, plan, order):
+    """Theta and its u-derivatives up to ``order`` (at most 2) from one sum
+    over the plan's points, at one u of shape (g,) or at a batch (..., g).
 
     Returns ``(jet, err)``: ``jet`` is ``[value, gradient, Hessian]`` cut
-    after ``order``, ``err`` the matching bounds on their errors.  The
-    prefactor exp(p) of Theta(u) = exp(p) sum_n exp(i pi n tau n + 2 pi i n v)
-    is folded into every term, so the u-derivatives carry the weights
-    2 pi i (n - m').  A bound is the Gaussian tail outside the box plus,
-    to first order in the unit roundoff, the rounding of the sum
-    (gamma_N sum |term|) and of each term's exponent, which grows with the
-    size of the numbers the exponent is formed from.
+    after ``order``, ``err`` the matching bounds on their errors, each with
+    the batch axes of u in front.  The prefactor exp(p) of
+    Theta(u) = exp(p) sum_n exp(i pi n tau n + 2 pi i n v) is folded into
+    every term, so the u-derivatives carry the weights 2 pi i (n - m').  A
+    bound is the plan's Gaussian tail, weighted for m', plus, to first order
+    in the unit roundoff, the rounding of the sum (gamma_N sum |term|) and of
+    each term's exponent, which grows with the size of the numbers the
+    exponent is formed from.
     """
-    g = u.shape[0]
-    x, y = tau.real, tau.imag
+    tau, n = plan.tau, plan.n
+    g = n.shape[1]
     # u = v + tau m' + m with Im v small; c = Y^-1 Im v is minus the
     # Gaussian centre
-    s = np.linalg.solve(y, u.imag)
+    s = u.imag @ plan.yinv
     mprime = np.round(s)
     c = s - mprime
-    v = u - tau @ mprime
+    tm = mprime @ tau.T
+    v = u - tm
     v -= np.round(v.real)
-    lam = np.linalg.eigvalsh(y)[0]
-    p = -1j * np.pi * (mprime @ tau @ mprime) - 2j * np.pi * (mprime @ v)
-    peak = float(np.exp(np.pi * (c @ y @ c) + p.real))
+    p = -1j * np.pi * np.sum(mprime * (tm + 2 * v), axis=-1)
+    peak = np.exp(np.pi * np.sum(c * (c @ plan.y), axis=-1) + p.real)
+    wm = 2 * np.pi * np.max(np.abs(mprime), axis=-1)
+    t0, t1, t2 = plan.tails
+    trunc = [peak * t for t in (t0, t1 + wm * t0, t2 + 2 * wm * t1 + wm**2 * t0)]
 
-    # points of sup-norm k sit at Y-distance >= sqrt(lam) (k - |c|); the
-    # tail outside box b is the suffix sum of the shells k >= b
-    dist = np.maximum(0.0, _SHELLS - np.max(np.abs(c)))
-    shells = peak * 2 * g * (2 * _SHELLS + 1) ** (g - 1) * np.exp(-np.pi * lam * dist**2)
-    weight = 2 * np.pi * (_SHELLS + 1 + np.max(np.abs(mprime)))
-    tails = [np.cumsum((shells * weight**k)[::-1])[::-1] for k in range(order + 1)]
-    fits = np.flatnonzero(tails[order][: _MAX_BOX - 2] <= _EPS * peak)
-    box = int(_SHELLS[fits[0]]) if fits.size else _MAX_BOX
-    trunc = [t[box - 3] for t in tails]
-
-    n = (np.indices((2 * box + 1,) * g, dtype=float).reshape(g, -1) - box).T
-    re = -np.pi * np.einsum("ki,ij,kj->k", n, y, n) - 2 * np.pi * (n @ v.imag) + p.real
-    im = np.pi * np.einsum("ki,ij,kj->k", n, x, n) + 2 * np.pi * (n @ v.real) + p.imag
+    re = p.real[..., None] - plan.qy - 2 * np.pi * (v.imag @ n.T)
+    im = p.imag[..., None] + plan.qx + 2 * np.pi * (v.real @ n.T)
     terms = np.exp(re + 1j * im)
 
     # rounding: gamma_N sum |term| for the sum, and per term the error of its
     # exponent, through |n|^T |tau| |n| <= rho |n|^2 and the sizes of v, u and
     # tau m' (v carries the error of forming it); the constants leave slack
     # for the weights and the final scalings
-    nn = np.sqrt(np.einsum("ki,ki->k", n, n))
-    rho = np.linalg.norm(tau)
-    mp = np.linalg.norm(mprime)
-    scale = np.linalg.norm(v) + np.linalg.norm(u) + rho * mp
+    rho, nn = plan.rho, plan.nn
+    mp = np.linalg.norm(mprime, axis=-1)[..., None]
+    scale = (np.linalg.norm(v, axis=-1) + np.linalg.norm(u, axis=-1))[..., None] + rho * mp
     size = np.pi * rho * (nn**2 + mp**2) + 2 * np.pi * (nn + mp) * scale
-    count = terms.size + 8
+    count = n.shape[0] + 8
     gamma = count * _U / (1 - count * _U)
     rnd = np.abs(terms) * (gamma + _U * ((2 * g * g + 8) * size + 16))
 
-    jet = [np.sum(terms)]
-    err = [trunc[0] + np.sum(rnd)]
+    jet = [np.sum(terms, axis=-1)]
+    err = [trunc[0] + np.sum(rnd, axis=-1)]
     if order >= 1:
-        w = np.subtract(n, mprime, out=n)  # n - m', exact
-        tr, ti = terms.real, terms.imag
-        jet.append(2j * np.pi * (w.T @ tr + 1j * (w.T @ ti)))
+        w = n - mprime[..., None, :]  # n - m', exact
+        wt = np.swapaxes(w, -1, -2)
+        parts = np.stack((terms.real, terms.imag), axis=-1)
+        grad = wt @ parts
+        jet.append(2j * np.pi * (grad[..., 0] + 1j * grad[..., 1]))
         if order == 2:
-            hess = np.einsum("ki,kj,k->ij", w, w, tr) + 1j * np.einsum("ki,kj,k->ij", w, w, ti)
-            jet.append(-4 * np.pi**2 * hess)
-        np.abs(w, out=w)
-        err.append(trunc[1] + 2 * np.pi * (w.T @ rnd))
+            hess = [wt @ (w * parts[..., k : k + 1]) for k in (0, 1)]
+            jet.append(-4 * np.pi**2 * (hess[0] + 1j * hess[1]))
+        aw = np.abs(w)
+        awt = np.swapaxes(aw, -1, -2)
+        err.append(trunc[1][..., None] + 2 * np.pi * (awt @ rnd[..., None])[..., 0])
         if order == 2:
-            err.append(trunc[2] + 4 * np.pi**2 * np.einsum("ki,kj,k->ij", w, w, rnd))
+            err.append(trunc[2][..., None, None] + 4 * np.pi**2 * (awt @ (aw * rnd[..., None])))
     return jet, err
 
 
@@ -153,11 +256,11 @@ def theta(u, tau, derivs=(), with_error=False):
     ``with_error`` is set, returns ``(value, bound)`` where ``bound`` bounds
     the truncation and rounding error.
     """
-    u, tau = _validate(u, tau)
+    u, plan = _validate(u, tau)
     if len(derivs) > 2:
         raise NotImplementedError("derivatives up to order two are supported")
     k = len(derivs)
-    jet, err = _theta_sum(u, tau, k)
+    jet, err = _theta_sum(u, plan, k)
     out = complex(jet[k][tuple(derivs)])
     if with_error:
         return out, float(err[k][tuple(derivs)])
@@ -165,13 +268,11 @@ def theta(u, tau, derivs=(), with_error=False):
 
 
 def theta_grad(u, tau):
-    u, tau = _validate(u, tau)
-    return _theta_sum(u, tau, 1)[0][1]
+    return _theta_sum(*_validate(u, tau), 1)[0][1]
 
 
 def theta_hessian(u, tau):
-    u, tau = _validate(u, tau)
-    return _theta_sum(u, tau, 2)[0][2]
+    return _theta_sum(*_validate(u, tau), 2)[0][2]
 
 
 def theta_quasi_residual(u, tau, m, mprime):
@@ -180,7 +281,8 @@ def theta_quasi_residual(u, tau, m, mprime):
     Returns |Theta(u + m + tau m') - phase * Theta(u)| / max(|Theta(u)|, 1)
     with phase = exp(-i pi m' tau m' - 2 pi i m' u).
     """
-    u, tau = _validate(u, tau)
+    u, plan = _validate(u, tau)
+    tau = plan.tau
     m = np.asarray(m, dtype=int)
     mp = np.asarray(mprime, dtype=int)
     lhs = theta(u + m + tau @ mp, tau)
@@ -225,8 +327,7 @@ def _off_divisor(val, err, what):
 
 
 def _log_theta_hessian(v, tau):
-    v, tau = _validate(v, tau)
-    (val, grad, hess), (err, _, _) = _theta_sum(v, tau, 2)
+    (val, grad, hess), (err, _, _) = _theta_sum(*_validate(v, tau), 2)
     _off_divisor(val, err, "theta value %.3e is below its error threshold" % abs(val))
     return hess / val - np.outer(grad, grad) / val**2
 
@@ -293,8 +394,7 @@ def prime_form_g1(z, w, tau):
 
 def _dlog_theta1(v, tau):
     """d/dv log Theta(v + c) at genus one, from one sum."""
-    u, tau_m = _validate([v + (1.0 + tau) / 2.0], [[tau]])
-    (val, grad), (err, _) = _theta_sum(u, tau_m, 1)
+    (val, grad), (err, _) = _theta_sum(*_validate([v + (1.0 + tau) / 2.0], [[tau]]), 1)
     _off_divisor(val, err, "prime form argument sits on the theta divisor")
     return complex(grad[0] / val)
 

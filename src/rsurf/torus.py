@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .theta import _U, _theta_sum
+from .theta import _U, _theta_sum, _validate
 
 __all__ = [
     "weierstrass_p",
@@ -46,13 +46,12 @@ def _quotient(z, tau, order):
     z = _reduce_cell(z, tau)
     if z == 0:
         raise ZeroDivisionError("pole of the p-function")
-    tau_m = np.array([[tau]])
-    sums = [
-        _theta_sum(np.array([u]), tau_m, k)
-        for u, k in ((tau / 2, 0), (0j, 0), (z + 0.5, order), (z + 0.5 + tau / 2, order))
-    ]
-    t2, t3, t4, t1 = [jet[0] for jet, _ in sums]
-    rel = [err[0] / abs(jet[0]) for jet, err in sums]
+    # one batched sum gives T(tau/2), T(0), T(z + 1/2), T(z + 1/2 + tau/2)
+    us = np.array([[tau / 2], [0j], [z + 0.5], [z + 0.5 + tau / 2]])
+    _, plan = _validate([0j], [[tau]])
+    jet, errs = _theta_sum(us, plan, order)
+    t2, t3, t4, t1 = jet[0]
+    rel = errs[0] / np.abs(jet[0])
     a = (np.pi * np.exp(-1j * np.pi * z) * t2 * t3 * t4 / t1) ** 2
     th2 = np.exp(1j * np.pi * tau) * t2**4
     b = np.pi**2 / 3 * (th2 + t3**4)
@@ -63,7 +62,7 @@ def _quotient(z, tau, order):
     )
     dlog = None
     if order:
-        d4, d1 = [jet[1][0] for jet, _ in sums[2:]]
+        d4, d1 = jet[1][2:, 0]
         dlog = 2 * (d4 / t4 - d1 / t1 - 1j * np.pi)
     return a, b, err, dlog
 

@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+from rsurf import theta as theta_mod
 from rsurf.theta import (
+    ThetaBudgetError,
     ThetaDivisorError,
     bergman_theta,
     char_point,
@@ -10,6 +14,7 @@ from rsurf.theta import (
     hirota_check,
     kappa_klein,
     kappa_schiffer,
+    kernel_shift,
     odd_characteristics,
     prime_form_g1,
     szego_g1,
@@ -19,6 +24,7 @@ from rsurf.theta import (
     theta_quasi_residual,
     third_kind_form_g1,
 )
+from rsurf.torus import weierstrass_p
 
 
 def _siegel(rng, g):
@@ -181,15 +187,21 @@ def _siegel_spread(rng, g):
 def _theta_jet_reference(u, tau):
     """Value, gradient and Hessian of Theta by a plain sum over a box around
     the Gaussian centre, wide enough that the terms left out are below
-    1e-30 of the largest."""
+    1e-30 of the largest; summed in slices to keep memory small at genus 5."""
     g = u.shape[0]
     width = int(np.sqrt(25.0 / np.linalg.eigvalsh(tau.imag)[0])) + 2
     centre = np.round(-np.linalg.solve(tau.imag, u.imag))
-    n = np.indices((2 * width + 1,) * g).reshape(g, -1).T - width + centre
-    terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", n, tau, n) + 2j * np.pi * (n @ u))
-    grad = 2j * np.pi * (n.T @ terms)
-    hess = -4 * np.pi**2 * np.einsum("ki,kj,k->ij", n, n, terms)
-    return np.sum(terms), grad, hess
+    shape = (2 * width + 1,) * g
+    total = (2 * width + 1) ** g
+    val, grad, hess = 0j, np.zeros(g, complex), np.zeros((g, g), complex)
+    for start in range(0, total, 1 << 17):
+        flat = np.arange(start, min(total, start + (1 << 17)))
+        n = np.column_stack(np.unravel_index(flat, shape)) - width + centre
+        terms = np.exp(1j * np.pi * np.einsum("ki,ki->k", n @ tau, n) + 2j * np.pi * (n @ u))
+        val += np.sum(terms)
+        grad += 2j * np.pi * (n.T @ terms)
+        hess += -4 * np.pi**2 * ((n.T * terms) @ n)
+    return val, grad, hess
 
 
 def _assert_within_bounds(u, tau, ref):
@@ -211,7 +223,7 @@ def test_theta_error_bound_certifies_value():
     assert ThetaDivisorError.__mro__[1] is ArithmeticError
     # seeded sweep against a wider plain sum
     rng = np.random.default_rng(30)
-    for g, trials in ((1, 12), (2, 10), (3, 6), (4, 3)):
+    for g, trials in ((1, 12), (2, 10), (3, 6), (4, 3), (5, 2)):
         for _ in range(trials):
             tau = _siegel_spread(rng, g)
             u = rng.normal(size=g) * 1.5 + 1j * rng.normal(size=g)
@@ -229,3 +241,72 @@ def test_theta_error_bound_against_jtheta():
             z = mpmath.pi * mpmath.mpc(u[0])
             d = [complex(mpmath.pi**k * mpmath.jtheta(3, z, q, k)) for k in range(3)]
         _assert_within_bounds(u, tau, (d[0], np.array([d[1]]), np.array([[d[2]]])))
+
+
+def test_plan_cache_warm_cold_and_keyed_by_value():
+    rng = np.random.default_rng(40)
+    tau = _siegel_spread(rng, 3)
+    u = rng.normal(size=3) + 0.5j * rng.normal(size=3)
+    theta_mod._plan.cache_clear()
+    cold = theta_mod._theta_sum(*theta_mod._validate(u, tau), 2)
+    warm = theta_mod._theta_sum(*theta_mod._validate(u, tau), 2)
+    assert theta_mod._plan.cache_info().hits >= 1
+    for a, b in zip(cold[0] + cold[1], warm[0] + warm[1]):
+        assert np.array_equal(a, b)
+    # a tau changed in place gets the value of the new tau
+    tau1 = np.array([[0.1 + 1.2j]])
+    v = np.array([0.31 - 0.12j])
+    theta(v, tau1)
+    tau1[0, 0] = -0.2 + 0.7j
+    direct = sum(
+        np.exp(1j * np.pi * n * n * tau1[0, 0] + 2j * np.pi * n * v[0]) for n in range(-40, 41)
+    )
+    assert theta(v, tau1) == pytest.approx(direct, rel=1e-13)
+
+
+def test_plan_cache_stays_bounded_and_rejects_invalid_tau():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        theta(np.zeros(2), _siegel(rng, 2))
+    assert theta_mod._plan.cache_info().currsize <= theta_mod._PLANS
+    bad = np.array([[1j, 0.2], [0.3, 1j]])
+    for _ in range(2):  # an invalid tau is never cached
+        with pytest.raises(ValueError):
+            theta(np.zeros(2), bad)
+
+
+def test_budget_error_at_genus_eight_is_fast():
+    # lambda_min(Im tau) = 0.05: the ellipsoid would hold about 1e7 points
+    rng = np.random.default_rng(42)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    tau = 1j * (q * np.r_[0.05, np.ones(7)]) @ q.T
+    tau = (tau + tau.T) / 2
+    start = time.perf_counter()
+    with pytest.raises(ThetaBudgetError):
+        theta(np.zeros(8), tau)
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(ThetaBudgetError, ArithmeticError)
+
+
+def test_kernel_shift_genus_one_against_weierstrass():
+    # with shift (1 + tau)/2, B = p(u_p - u_q) + (pi^2/3) E2(tau), and the
+    # Schiffer shift subtracts pi / Im tau; E2 = 1 - 24 sum sigma_1(n) q^n
+    tau = 0.13 + 1.1j
+    q = np.exp(2j * np.pi * tau)
+    e2 = 1 - 24 * sum(
+        sum(d for d in range(1, k + 1) if k % d == 0) * q**k for k in range(1, 40)
+    )
+    c = (1 + tau) / 2
+    kappa = kappa_schiffer(np.array([[tau]]))
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        up = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
+        uq = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
+        wp = weierstrass_p(up - uq, tau)
+        assert bergman_theta(tau, up, uq, 1.0, 1.0, shift=[c]) == pytest.approx(
+            wp + np.pi**2 / 3 * e2, rel=1e-12
+        )
+        shifted = kernel_shift(tau, kappa, up, uq, 1.0, 1.0, shift=[c])
+        assert shifted == pytest.approx(
+            wp + np.pi**2 / 3 * (e2 - 3 / (np.pi * tau.imag)), rel=1e-12
+        )
