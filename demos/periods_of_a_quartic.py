@@ -14,8 +14,8 @@ from rsurf.periods import (
     build_curve,
     elliptic_K,
     period_matrix,
-    reduce_lattice,
 )
+from rsurf.theta import reduce_lattice
 
 curve = build_curve([-1, 0, 0, 0, 1])
 print("branch points:", np.round(curve.branch_points, 6))

@@ -31,32 +31,30 @@ def _jnum(x):
     return float(x)
 
 
-def _parse_complex(value):
-    """Parse 're,im' or a JSON number/pair into a complex number."""
-    if isinstance(value, str) and "," in value:
-        re, im = value.split(",")
+def _parse_complex(text):
+    """Parse 're,im' or a JSON number into a complex number."""
+    if "," in text:
+        re, im = text.split(",")
         return complex(float(re), float(im))
-    loaded = json.loads(value) if isinstance(value, str) else value
-    if isinstance(loaded, (int, float)):
-        return complex(loaded)
-    return complex(loaded[0], loaded[1])
+    loaded = json.loads(text)
+    if not isinstance(loaded, (int, float)):
+        raise ValueError("expected 're,im' or a number, got %s" % text)
+    return complex(loaded)
 
 
-def _parse_tau_matrix(text):
-    data = json.loads(text)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 2 and arr.shape[-1] == 2:  # list of [re, im] rows: vector
-        raise ValueError("tau must be a g x g x 2 array or scalar pair")
-    if arr.ndim == 1:
-        return np.array([[complex(arr[0], arr[1])]])
+def _complex_array(data, ndim):
+    """JSON ``data`` of [re, im] pairs behind ``ndim`` axes of one length g,
+    as a complex array; for ndim >= 1 a bare pair means g = 1."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except TypeError as exc:
+        raise ValueError("expected numbers, got %s" % json.dumps(data)) from exc
+    if arr.shape == (2,):
+        arr = arr.reshape((1,) * ndim + (2,))
+    if arr.shape != arr.shape[:1] * ndim + (2,):
+        shape = ", ".join(["g"] * ndim + ["2"])
+        raise ValueError("expected an array of shape (%s), got %s" % (shape, json.dumps(data)))
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _parse_vector(text):
-    arr = np.asarray(json.loads(text), dtype=float)
-    if arr.ndim == 1 and arr.shape[0] == 2:
-        return np.array([complex(arr[0], arr[1])])
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _univariate_coeffs(text):
@@ -111,8 +109,8 @@ def _cmd_fundform(args):
 
 
 def _cmd_theta(args):
-    tau = _parse_tau_matrix(args.tau)
-    u = _parse_vector(args.u)
+    tau = _complex_array(json.loads(args.tau), 2)
+    u = _complex_array(json.loads(args.u), 1)
     val, err = theta_mod.theta(u, tau, with_error=True)
     return {"value": _jnum(val), "error": float(err)}
 
@@ -149,6 +147,8 @@ def _cmd_torus(args):
             "tau": _jnum(tau0),
             "matrix": [[int(mat[0][0]), int(mat[0][1])], [int(mat[1][0]), int(mat[1][1])]],
         }
+    if args.z is None:
+        raise ValueError("torus wp needs --z")
     val, err = torus_mod.weierstrass_p(
         _parse_complex(args.z), _parse_complex(args.tau), with_error=True
     )
@@ -171,13 +171,19 @@ def _cmd_periods(args):
 
 def _cmd_rr(args):
     data = json.loads(args.divisor)
+    if not (isinstance(data, list) and all(isinstance(item, dict) for item in data)):
+        raise ValueError("--divisor takes a list of objects with a point and a weight")
     entries = []
     for item in data:
         point = item["point"]
         if isinstance(point, list):
-            point = complex(point[0], point[1])
+            point = complex(_complex_array(point, 0))
         elif isinstance(point, str) and point != divisors.INFINITY:
             point = Fraction(point)
+        elif not isinstance(point, (str, int, float)):
+            raise ValueError("a point is 'inf', a rational or a pair, not %s" % json.dumps(point))
+        if not isinstance(item["weight"], int):
+            raise ValueError("a weight is an integer, not %s" % json.dumps(item["weight"]))
         entries.append((point, item["weight"]))
     div = divisors.Divisor(entries)
     if args.genus == 0:
@@ -186,15 +192,18 @@ def _cmd_rr(args):
         if args.tau is None or args.abel is None:
             raise ValueError("genus 1 needs --tau and --abel")
         tau = _parse_complex(args.tau)
+        data = json.loads(args.abel)
+        if not isinstance(data, dict):
+            raise ValueError("--abel takes an object from points to [re, im] pairs")
         abel = {}
-        for key, val in json.loads(args.abel).items():
+        for key, val in data.items():
             point = key
             if key != divisors.INFINITY:
                 try:
                     point = Fraction(key)
                 except ValueError:
                     pass
-            abel[point] = complex(val[0], val[1])
+            abel[point] = complex(_complex_array(val, 0))
         rr = divisors.rr_genus1(div, tau, abel)
     return {
         "r_minus_D": rr.r_minus_D,

@@ -81,16 +81,16 @@ def rr_genus0(div):
 
 
 def _lattice_distance(u, tau):
-    """Distance from u to Z^g + tau Z^g; a scalar u and tau mean g = 1."""
+    """Distance from u to Z^g + tau Z^g; a scalar u and tau mean g = 1.  The
+    least over the 3^g cells v - tau k, k in {-1, 0, 1}^g, around the reduced
+    representative v, each to its nearest integer translate."""
+    from .theta import reduce_lattice
+
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     tau = np.atleast_2d(np.asarray(tau, dtype=complex))
-    n = np.round(np.linalg.solve(tau.imag, u.imag))
-    best = None
-    for shift in np.ndindex(*(3,) * len(u)):
-        v = u - tau @ (n + np.asarray(shift) - 1)
-        d = np.max(np.abs(v - np.round(v.real)))
-        best = d if best is None else min(best, d)
-    return best
+    shifts = np.indices((3,) * len(u)).reshape(len(u), -1).T - 1
+    w = reduce_lattice(u, tau) - shifts @ tau.T
+    return np.min(np.max(np.abs(w - np.round(w.real)), axis=1))
 
 
 def _on_lattice(u, tau, tol, band):

@@ -20,7 +20,8 @@ The Abel map is based at the root.  A branch point maps to half the sum of
 the edge periods on its tree path; any other point is reached by one
 straight segment from the branch point best placed for quadrature.  The
 vector of Riemann constants is the half period read off from the
-quadratic form that the tree cycles carry.
+quadratic form that the tree cycles carry.  Abel images are not reduced
+modulo the lattice; :func:`rsurf.theta.reduce_lattice` does that.
 """
 
 from __future__ import annotations
@@ -292,15 +293,6 @@ def riemann_constant(curve):
     qa = np.array([q(a) for a in curve.a_cycles])
     qb = np.array([q(b) for b in curve.b_cycles])
     return 0.5 * (qb + tau @ qa)
-
-
-def reduce_lattice(v, tau):
-    """Reduce v modulo Z^g + tau Z^g to a representative near the origin."""
-    v = np.asarray(v, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
-    m = np.round(np.linalg.solve(tau.imag, v.imag))
-    v = v - tau @ m
-    return v - np.round(v.real)
 
 
 def bilinear_check(ma, mb):

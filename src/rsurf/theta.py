@@ -4,10 +4,12 @@ kernels built from them.
 The series Theta(u | tau) = sum_n exp(i pi n^T tau n + 2 pi i n^T u) is
 summed over the integer points of one ellipsoid in the metric Im tau,
 widened so that it fits every u once u is translated by the lattice to
-bring the Gaussian center near the origin.  Everything that depends on tau
-alone (validation, the points enumerated Fincke-Pohst style, their
-quadratic forms, the tail bounds) is a per-tau plan, built once and kept
-for the last few taus, so a call forms only the terms linear in u.  One
+bring the Gaussian center near the origin.  That translation is the one
+reduction modulo Z^g + tau Z^g in rsurf (``reduce_lattice``, used also by
+the Weierstrass function and the divisor lattice test).  Everything that
+depends on tau alone (validation, the points enumerated Fincke-Pohst style,
+their quadratic forms, the tail bounds) is a per-tau plan, built once and
+kept for the last few taus, so a call forms only the terms linear in u.  One
 pass gives the value, gradient and Hessian for one u or a batch, and each
 comes with a bound on its error: the discarded tail by a shell-by-shell
 Gaussian estimate plus a term for the points of the box left outside the
@@ -40,6 +42,7 @@ __all__ = [
     "theta_grad",
     "theta_hessian",
     "theta_quasi_residual",
+    "reduce_lattice",
     "odd_characteristics",
     "char_point",
     "bergman_theta",
@@ -183,6 +186,25 @@ def _lattice_points(r, delta, radius):
     return np.column_stack(cols)
 
 
+def _reduce(u, tau, yinv):
+    """The representative v of u modulo Z^g + tau Z^g, for u of shape (g,) or
+    (..., g), and the integer vector m' of u = v + tau m' + m: m' rounds
+    Y^-1 Im u and m rounds Re(u - tau m'), with Y^-1 = ``yinv`` the inverse
+    of Im tau.  So c = Y^-1 Im v has |c|_inf <= 1/2, the recentring that the
+    tail bound of a plan assumes (Deconinck et al. 2004), and |Re v|_inf <= 1/2.
+    """
+    mprime = np.rint(u.imag @ yinv)
+    v = u - mprime @ tau.T
+    v -= np.rint(v.real)
+    return v, mprime
+
+
+def reduce_lattice(u, tau):
+    """The representative of u modulo Z^g + tau Z^g near the origin."""
+    tau = np.asarray(tau, dtype=complex)
+    return _reduce(np.asarray(u, dtype=complex), tau, np.linalg.inv(tau.imag))[0]
+
+
 def _theta_sum(u, plan, order):
     """Theta and its u-derivatives up to ``order`` (at most 2) from one sum
     over the plan's points, at one u of shape (g,) or at a batch (..., g).
@@ -199,15 +221,10 @@ def _theta_sum(u, plan, order):
     """
     tau, n = plan.tau, plan.n
     g = n.shape[1]
-    # u = v + tau m' + m with Im v small; c = Y^-1 Im v is minus the
-    # Gaussian centre
-    s = u.imag @ plan.yinv
-    mprime = np.round(s)
-    c = s - mprime
-    tm = mprime @ tau.T
-    v = u - tm
-    v -= np.round(v.real)
-    p = -1j * np.pi * np.sum(mprime * (tm + 2 * v), axis=-1)
+    # u = v + tau m' + m; c = Y^-1 Im v is minus the Gaussian centre
+    v, mprime = _reduce(u, tau, plan.yinv)
+    c = v.imag @ plan.yinv
+    p = -1j * np.pi * np.sum(mprime * (mprime @ tau.T + 2 * v), axis=-1)
     peak = np.exp(np.pi * np.sum(c * (c @ plan.y), axis=-1) + p.real)
     wm = 2 * np.pi * np.max(np.abs(mprime), axis=-1)
     t0, t1, t2 = plan.tails
@@ -379,11 +396,6 @@ def _theta1(v, tau, derivs=()):
     return theta(np.array([v + (1.0 + tau) / 2.0]), np.array([[tau]]), derivs)
 
 
-def _theta_checked(u, tau, what):
-    """Theta(u) for a value a kernel divides by."""
-    return _off_divisor(*theta(u, tau, with_error=True), what)
-
-
 def prime_form_g1(z, w, tau):
     """Prime form E(z, w) on the torus C / (Z + tau Z).
 
@@ -405,27 +417,23 @@ def third_kind_form_g1(z, q1, q2, tau):
     return _dlog_theta1(z - q1, tau) - _dlog_theta1(z - q2, tau)
 
 
+def _szego(a, b, e, tau):
+    """Theta(a - b + e) / (E(a, b) Theta(e)) at genus one."""
+    tau_m = np.array([[tau]])
+    num = theta(np.array([a - b + e]), tau_m)
+    den = _off_divisor(
+        *theta(np.array([e]), tau_m, with_error=True), "shift sits on the theta divisor"
+    )
+    return num / (prime_form_g1(a, b, tau) * den)
+
+
 def szego_g1(z, w, zeta, tau, omega_integral=0.0):
     """Szego kernel psi(z, w) with Jacobian shift zeta at genus one.
 
     ``omega_integral`` is int_w^z of the extra generalized shift, zero for
     the bare kernel.  The result has a simple pole 1/(z - w).
     """
-    tau_m = np.array([[tau]])
-    c = (1.0 + tau) / 2.0
-    e = np.array([zeta + c])
-    num = theta(np.array([z - w]) + e, tau_m)
-    den = _theta_checked(e, tau_m, "zeta + c sits on the theta divisor")
-    ef = prime_form_g1(z, w, tau)
-    return np.exp(omega_integral) * num / (ef * den)
-
-
-def _psi_plain(a, b, e, tau):
-    """theta_e(a - b) / (E(a, b) theta_e(0)) with theta_e(v) = Theta(v + e)."""
-    tau_m = np.array([[tau]])
-    num = theta(np.array([a - b + e]), tau_m)
-    den = _theta_checked(np.array([e]), tau_m, "shift sits on the theta divisor")
-    return num / (prime_form_g1(a, b, tau) * den)
+    return np.exp(omega_integral) * _szego(z, w, zeta + (1.0 + tau) / 2.0, tau)
 
 
 def fay_check(tau, zeta, pairs):
@@ -443,12 +451,7 @@ def fay_check(tau, zeta, pairs):
     acc = 0.0 + 0j  # accumulated Abel shift from previous pairs
     prev = []
     for a, b in pairs:
-        tau_m = np.array([[tau]])
-        num = theta(np.array([a - b + e0 + acc]), tau_m)
-        den = _theta_checked(
-            np.array([e0 + acc]), tau_m, "chained shift sits on the theta divisor"
-        )
-        factor = num / (prime_form_g1(a, b, tau) * den)
+        factor = _szego(a, b, e0 + acc, tau)
         # exp of int_b^a of the previously accumulated third kind forms
         for ap, bp in prev:
             factor *= _theta1(a - ap, tau) * _theta1(b - bp, tau)
@@ -461,7 +464,7 @@ def fay_check(tau, zeta, pairs):
     mat = np.empty((n, n), dtype=complex)
     for i, (a, _) in enumerate(pairs):
         for j, (_, b) in enumerate(pairs):
-            mat[i, j] = _psi_plain(a, b, np.array([e0])[0], tau)
+            mat[i, j] = _szego(a, b, e0, tau)
     rhs = np.linalg.det(mat)
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale
@@ -494,9 +497,9 @@ def hirota_check(tau, zeta, z1, z2, z, h):
     )
     fd = (lhs_norm - 1.0) / h
     limit = -(
-        _psi_plain(z1, z, e, tau)
-        * _psi_plain(z, z2, e, tau)
-        / _psi_plain(z1, z2, e, tau)
+        _szego(z1, z, e, tau)
+        * _szego(z, z2, e, tau)
+        / _szego(z1, z2, e, tau)
     )
     return abs(fd - limit)
 

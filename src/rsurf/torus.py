@@ -3,7 +3,8 @@
 The lattice is always normalized to Z + tau Z with Im tau > 0.  The
 Weierstrass function and its derivative are quotients of Jacobi theta
 functions, each a genus-one Riemann theta value from the lattice sum of
-:mod:`rsurf.theta`, so they carry its error bounds.
+:mod:`rsurf.theta`, so they carry its error bounds; z is first reduced
+modulo the lattice by the same routine that recentres the theta sum.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .theta import _U, _theta_sum, _validate
+from .theta import _U, _reduce, _theta_sum, _validate
 
 __all__ = [
     "weierstrass_p",
@@ -20,15 +21,6 @@ __all__ = [
     "reduce_modular",
     "apply_modular_g1",
 ]
-
-
-def _reduce_cell(z, tau):
-    """Translate z by the lattice into the cell centered at the origin."""
-    beta = z.imag / tau.imag
-    alpha = z.real - beta * tau.real
-    alpha -= round(alpha)
-    beta -= round(beta)
-    return alpha + beta * tau
 
 
 def _quotient(z, tau, order):
@@ -39,16 +31,15 @@ def _quotient(z, tau, order):
     so a = (pi e^(-i pi z) T(tau/2) T(0) T(z + 1/2) / T(z + 1/2 + tau/2))^2
     and b = (pi^2 / 3)(theta_2^4 + theta_3^4).
     """
-    z = complex(z)
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
-    z = _reduce_cell(z, tau)
+    u, plan = _validate([z], [[tau]])
+    z = complex(_reduce(u, plan.tau, plan.yinv)[0][0])
     if z == 0:
         raise ZeroDivisionError("pole of the p-function")
     # one batched sum gives T(tau/2), T(0), T(z + 1/2), T(z + 1/2 + tau/2)
     us = np.array([[tau / 2], [0j], [z + 0.5], [z + 0.5 + tau / 2]])
-    _, plan = _validate([0j], [[tau]])
     jet, errs = _theta_sum(us, plan, order)
     t2, t3, t4, t1 = jet[0]
     rel = errs[0] / np.abs(jet[0])

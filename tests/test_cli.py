@@ -73,6 +73,29 @@ def test_theta_bad_tau_is_domain_error(capsys):
     assert payload["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--tau", "[1.0]", "--u", "[0,0]"],
+        ["theta", "--tau", "[0,1]", "--u", "[0.2]"],
+        ["theta", "--tau", "[0.0,1.0,5.0]", "--u", "[0.2,0.1]"],
+        ["torus", "wp", "--tau", "[1]", "--z", "0.1,0.1"],
+        ["torus", "wp", "--tau", "0,1"],
+        ["torus", "reduce", "--tau", "null"],
+        ["rr", "--genus", "0", "--divisor", "[1]"],
+        ["rr", "--genus", "0", "--divisor", '[{"point": [1], "weight": 1}]'],
+        ["rr", "--genus", "0", "--divisor", '[{"point": {}, "weight": 1}]'],
+        ["rr", "--genus", "0", "--divisor", '[{"point": "0", "weight": null}]'],
+        ["rr", "--genus", "0", "--divisor", '[{"point": "0", "weight": 1.5}]'],
+        ["rr", "--genus", "1", "--divisor", '[{"point": "0", "weight": 1}]',
+         "--tau", "0,1", "--abel", '{"0": [0]}'],
+    ],
+)
+def test_malformed_numbers_are_domain_errors(capsys, argv):
+    payload = run_error(capsys, argv)
+    assert payload["error"] == "ValueError"
+
+
 def test_fay_check_schema(capsys):
     out = run_json(capsys, ["fay-check", "--tau", "0.0,1.3", "--trials", "5"])
     jsonschema.validate(out, schema("fay-check"))

@@ -10,10 +10,9 @@ from rsurf.periods import (
     build_curve,
     elliptic_K,
     period_matrix,
-    reduce_lattice,
     riemann_constant,
 )
-from rsurf.theta import theta
+from rsurf.theta import reduce_lattice, theta
 from rsurf.torus import reduce_modular
 
 

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial, pi
 
@@ -55,14 +56,66 @@ def test_volume_one_two_against_literature():
     assert v.terms[(0, 0)] == PiPoly({2: Fraction(1, 4)})
 
 
-def test_volume_two_one_constant_term():
-    # V_{2,1}(0) = 29 pi^8 / 192 / 7! ... use known value pi^8 * 29/409600? ;
-    # instead check homogeneity and positivity which pin the structure
-    v = volume(2, 1)
-    d = dim_complexity(2, 1)
-    for (m,), c in v.terms.items():
-        assert m + max(c.coeffs) == d
-        assert all(x > 0 for x in c.coeffs.values())
+def _product(*factors):
+    """Product of polynomials given as {(L^2 power, pi^2 power): coefficient}."""
+    out = {(0, 0): Fraction(1)}
+    for factor in factors:
+        acc = defaultdict(Fraction)
+        for (m1, k1), c1 in out.items():
+            for (m2, k2), c2 in factor.items():
+                acc[m1 + m2, k1 + k2] += c1 * c2
+        out = acc
+    return dict(out)
+
+
+def test_volume_two_one_closed_form():
+    # V_{2,1}(L) = (4 pi^2 + L^2)(12 pi^2 + L^2)(6960 pi^4 + 384 pi^2 L^2 + 5 L^4)
+    # / 2211840, term by term
+    want = _product(
+        {(1, 0): 1, (0, 1): 4},
+        {(1, 0): 1, (0, 1): 12},
+        {(2, 0): 5, (1, 1): 384, (0, 2): 6960},
+    )
+    got = {(m, k): c for (m,), p in volume(2, 1).terms.items() for k, c in p.coeffs.items()}
+    assert got == {key: c / 2211840 for key, c in want.items()}
+
+
+def _collect(terms):
+    """{key: sum of coefficients} over (key, coefficient) pairs, zeros dropped."""
+    out = defaultdict(Fraction)
+    for key, c in terms:
+        out[key] += c
+    return {key: c for key, c in out.items() if c}
+
+
+def _items(g, n):
+    return [(ms, k, c) for ms, p in volume(g, n).terms.items() for k, c in p.coeffs.items()]
+
+
+# every stable (g, n), n >= 1, with V_{g,n+1} of complexity at most six
+STRING_DILATON = [
+    (g, n) for g in range(3) for n in range(1, 9)
+    if 2 * g - 2 + n > 0 and dim_complexity(g, n + 1) <= 6
+]
+
+
+@pytest.mark.parametrize("g,n", STRING_DILATON)
+def test_string_and_dilaton_equations(g, n):
+    """V_{g,n+1}(L, 2 pi i) = sum_k int_0^L_k L_k V_{g,n}(L) dL_k and
+    dV_{g,n+1}/dL_{n+1}(L, 2 pi i) = 2 pi i (2g - 2 + n) V_{g,n}(L) (Do and
+    Norbury), as polynomials in L^2 and pi^2: at L_{n+1} = 2 pi i,
+    L_{n+1}^(2m) = (-4)^m pi^(2m); the second is multiplied by 2 pi i."""
+    big, small = _items(g, n + 1), _items(g, n)
+    lhs = _collect(((ms[:n], k + ms[n]), c * (-4) ** ms[n]) for ms, k, c in big)
+    rhs = _collect(
+        ((ms[:i] + (ms[i] + 1,) + ms[i + 1 :], k), c / (2 * ms[i] + 2))
+        for ms, k, c in small
+        for i in range(n)
+    )
+    assert lhs == rhs
+    lhs = _collect(((ms[:n], k + ms[n]), 2 * ms[n] * (-4) ** ms[n] * c) for ms, k, c in big)
+    rhs = _collect(((ms, k + 1), -4 * (2 * g - 2 + n) * c) for ms, k, c in small)
+    assert lhs == rhs
 
 
 def test_symmetry_and_homogeneity_random_signatures():
