@@ -17,14 +17,15 @@ ellipsoid, and the rounding of the sum and of every term's exponent, in the
 manner of Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing
 Riemann theta functions" (Math. Comp. 2004).  Genus up to 8 is accepted; a
 tau whose point set would pass _MAX_POINTS raises ThetaBudgetError before
-it is enumerated.
+it is enumerated, and a u whose terms would overflow raises OverflowError.
 
 On top of the bare series the module provides the theta gradient and
 Hessian, quasi-periodicity residuals, odd half characteristics, the
 fundamental bidifferential d_p d_q log Theta, its kappa-shifted variants
-(Klein and Schiffer), and the genus-one zoo: prime form, third kind
-differentials, Szego kernel, Fay's identity in determinant form, the
-Hirota limit, and the genus-zero degeneration of the Szego kernel.
+(Klein and Schiffer), the genus-one zoo, each call of which is one batched
+sum over the theta values it needs (prime form, third kind differentials,
+Szego kernel, Fay's identity in determinant form and its Hirota limit), and
+the genus-zero degeneration of the Szego kernel.
 """
 
 from __future__ import annotations
@@ -79,13 +80,16 @@ _SHELLS = np.arange(3.0, 481.0)
 # may hold (a plan costs (g + 3) 8-byte numbers per point)
 _PLANS = 8
 _MAX_POINTS = 500_000
+# the largest exponent of the peak term: exp overflows past 709.78, and the
+# rest covers the sum over the points, the derivative weights and the bounds
+_MAX_LOG = 650.0
 
 
 def _validate(u, tau):
-    """u as a complex vector and the plan of tau."""
+    """u as a complex array of shape (g,) or (k, g), and the plan of tau."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     tau = np.atleast_2d(np.asarray(tau, dtype=complex))
-    g = u.shape[0]
+    g = u.shape[-1]
     if g > _MAX_GENUS:
         raise ValueError("genus %d exceeds the supported maximum %d" % (g, _MAX_GENUS))
     if tau.shape != (g, g):
@@ -225,7 +229,10 @@ def _theta_sum(u, plan, order):
     v, mprime = _reduce(u, tau, plan.yinv)
     c = v.imag @ plan.yinv
     p = -1j * np.pi * np.sum(mprime * (mprime @ tau.T + 2 * v), axis=-1)
-    peak = np.exp(np.pi * np.sum(c * (c @ plan.y), axis=-1) + p.real)
+    log_peak = np.pi * np.sum(c * (c @ plan.y), axis=-1) + p.real
+    if (log_peak > _MAX_LOG).any():
+        raise OverflowError("theta overflows: its largest term is e^%.4g" % log_peak.max())
+    peak = np.exp(log_peak)
     wm = 2 * np.pi * np.max(np.abs(mprime), axis=-1)
     t0, t1, t2 = plan.tails
     trunc = [peak * t for t in (t0, t1 + wm * t0, t2 + 2 * wm * t1 + wm**2 * t0)]
@@ -292,6 +299,13 @@ def theta_hessian(u, tau):
     return _theta_sum(*_validate(u, tau), 2)[0][2]
 
 
+def _thetas(tau, args):
+    """Theta, its error bound and its gradient at each row of ``args``, of
+    shape (k, g), from one plan lookup and one sum."""
+    (val, grad), (err, _) = _theta_sum(*_validate(args, tau), 1)
+    return val, err, grad
+
+
 def theta_quasi_residual(u, tau, m, mprime):
     """Residual of the quasi-periodicity law for integer vectors m, m'.
 
@@ -337,8 +351,8 @@ def _default_odd_point(tau):
 
 
 def _off_divisor(val, err, what):
-    """``val`` unless it is within 1e3 times its error bound of zero."""
-    if abs(val) < 1e3 * max(err, 1e-300):
+    """``val`` unless an entry of it is within 1e3 times its bound of zero."""
+    if (abs(val) < 1e3 * np.maximum(err, 1e-300)).any():
         raise ThetaDivisorError(what)
     return val
 
@@ -389,11 +403,7 @@ def kernel_shift(tau, kappa, up, uq, dup, duq, shift=None):
 
 
 # -- genus one kernels -------------------------------------------------------
-
-
-def _theta1(v, tau, derivs=()):
-    """Theta(v + c) at genus one with c = (1 + tau)/2, scalar in, scalar out."""
-    return theta(np.array([v + (1.0 + tau) / 2.0]), np.array([[tau]]), derivs)
+# quotients of Theta(v + c), c = (1 + tau)/2, which vanishes at v = 0
 
 
 def prime_form_g1(z, w, tau):
@@ -401,30 +411,33 @@ def prime_form_g1(z, w, tau):
 
     Vanishes simply at z = w and nowhere else on the fundamental cell.
     """
-    return _theta1(z - w, tau) / _theta1(0.0, tau, (0,))
-
-
-def _dlog_theta1(v, tau):
-    """d/dv log Theta(v + c) at genus one, from one sum."""
-    (val, grad), (err, _) = _theta_sum(*_validate([v + (1.0 + tau) / 2.0], [[tau]]), 1)
-    _off_divisor(val, err, "prime form argument sits on the theta divisor")
-    return complex(grad[0] / val)
+    c = (1.0 + tau) / 2.0
+    val, _, grad = _thetas(tau, [[z - w + c], [c]])
+    return complex(val[0]) / complex(grad[1, 0])
 
 
 def third_kind_form_g1(z, q1, q2, tau):
     """Normalized third kind differential with residues +1 at q1, -1 at q2,
     evaluated at z (coefficient against dz)."""
-    return _dlog_theta1(z - q1, tau) - _dlog_theta1(z - q2, tau)
+    c = (1.0 + tau) / 2.0
+    val, err, grad = _thetas(tau, [[z - q1 + c], [z - q2 + c]])
+    _off_divisor(val, err, "prime form argument sits on the theta divisor")
+    dlog = grad[:, 0] / val
+    return complex(dlog[0] - dlog[1])
 
 
-def _szego(a, b, e, tau):
-    """Theta(a - b + e) / (E(a, b) Theta(e)) at genus one."""
-    tau_m = np.array([[tau]])
-    num = theta(np.array([a - b + e]), tau_m)
-    den = _off_divisor(
-        *theta(np.array([e]), tau_m, with_error=True), "shift sits on the theta divisor"
-    )
-    return num / (prime_form_g1(a, b, tau) * den)
+def _szego(a, b, e, tau, extra=()):
+    """Theta(a - b + e) / (E(a, b) Theta(e)) at genus one for each entry of
+    a, b and e, scalars or 1-d arrays broadcast together, and Theta at each
+    of the arguments ``extra``, from one sum."""
+    c = (1.0 + tau) / 2.0
+    d = np.ravel(np.subtract(a, b, dtype=complex))
+    e = np.broadcast_to(e, d.shape)
+    k = d.size
+    val, err, grad = _thetas(tau, np.concatenate(([c], d + e, e, d + c, extra))[:, None])
+    num, den, prime = val[1 : k + 1], val[k + 1 : 2 * k + 1], val[2 * k + 1 : 3 * k + 1]
+    _off_divisor(den, err[k + 1 : 2 * k + 1], "shift sits on the theta divisor")
+    return num / (prime / grad[0, 0] * den), val[3 * k + 1 :]
 
 
 def szego_g1(z, w, zeta, tau, omega_integral=0.0):
@@ -433,7 +446,8 @@ def szego_g1(z, w, zeta, tau, omega_integral=0.0):
     ``omega_integral`` is int_w^z of the extra generalized shift, zero for
     the bare kernel.  The result has a simple pole 1/(z - w).
     """
-    return np.exp(omega_integral) * _szego(z, w, zeta + (1.0 + tau) / 2.0, tau)
+    (psi,), _ = _szego(z, w, zeta + (1.0 + tau) / 2.0, tau)
+    return np.exp(omega_integral) * complex(psi)
 
 
 def fay_check(tau, zeta, pairs):
@@ -446,26 +460,25 @@ def fay_check(tau, zeta, pairs):
     """
     c = (1.0 + tau) / 2.0
     e0 = zeta + c
-
-    lhs = 1.0 + 0j
-    acc = 0.0 + 0j  # accumulated Abel shift from previous pairs
-    prev = []
-    for a, b in pairs:
-        factor = _szego(a, b, e0 + acc, tau)
-        # exp of int_b^a of the previously accumulated third kind forms
-        for ap, bp in prev:
-            factor *= _theta1(a - ap, tau) * _theta1(b - bp, tau)
-            factor /= _theta1(a - bp, tau) * _theta1(b - ap, tau)
-        lhs *= factor
-        acc += a - b
-        prev.append((a, b))
-
-    n = len(pairs)
-    mat = np.empty((n, n), dtype=complex)
-    for i, (a, _) in enumerate(pairs):
-        for j, (_, b) in enumerate(pairs):
-            mat[i, j] = _szego(a, b, e0, tau)
-    rhs = np.linalg.det(mat)
+    a, b = np.array(pairs, dtype=complex).T
+    n = a.size
+    # each pair is shifted by the Abel images a - b of the pairs before it
+    e = e0 + np.concatenate(([0j], np.cumsum(a - b)[:-1]))
+    # exp of int_b^a of the earlier third kind forms: a cross-ratio of
+    # Theta(x + c) for each earlier pair (aj, bj) of each pair (ak, bk)
+    cross = [(ak - aj, bk - bj, ak - bj, bk - aj)
+             for k, (ak, bk) in enumerate(pairs) for aj, bj in pairs[:k]]
+    # psi(a_k, b_k) at the chained shifts, then psi(a_i, b_j) at e0
+    psi, th = _szego(
+        np.concatenate((a, np.repeat(a, n))),
+        np.concatenate((b, np.tile(b, n))),
+        np.concatenate((e, np.full(n * n, e0))),
+        tau,
+        np.ravel(cross) + c,
+    )
+    t_aa, t_bb, t_ab, t_ba = th.reshape(-1, 4).T
+    lhs = np.prod(psi[:n]) * np.prod(t_aa * t_bb / (t_ab * t_ba))
+    rhs = np.linalg.det(psi[n:].reshape(n, n))
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale
 
@@ -481,26 +494,13 @@ def hirota_check(tau, zeta, z1, z2, z, h):
     """
     c = (1.0 + tau) / 2.0
     e = zeta + c
-    tau_m = np.array([[tau]])
-
-    def te(v):
-        return theta(np.array([v + e]), tau_m)
-
     u12 = z1 - z2
-    lhs_norm = (
-        te(u12 + h)
-        * te(0.0)
-        / (te(u12) * te(h))
-        * _theta1(z1 - z - h, tau)
-        * _theta1(z2 - z, tau)
-        / (_theta1(z1 - z, tau) * _theta1(z2 - z - h, tau))
-    )
+    extra = [u12 + h + e, e, u12 + e, h + e, z1 - z - h + c, z2 - z + c, z1 - z + c, z2 - z - h + c]
+    psi, th = _szego([z1, z, z1], [z, z2, z2], e, tau, extra)
+    t12h, t0, t12, th_, t1h, t2, t1, t2h = th.tolist()
+    lhs_norm = t12h * t0 / (t12 * th_) * t1h * t2 / (t1 * t2h)
     fd = (lhs_norm - 1.0) / h
-    limit = -(
-        _szego(z1, z, e, tau)
-        * _szego(z, z2, e, tau)
-        / _szego(z1, z2, e, tau)
-    )
+    limit = -(psi[0] * psi[1] / psi[2])
     return abs(fd - limit)
 
 

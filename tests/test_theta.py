@@ -176,6 +176,84 @@ def test_degenerate_szego_pole_and_nodes():
         assert degenerate_szego(w + eps, w, nodes) * eps == pytest.approx(1.0, rel=1e-3)
 
 
+def test_genus_one_kernels_against_jacobi_theta_one():
+    """The kernels against mpmath's theta_1, through
+    Theta(v + (1 + tau)/2) = i exp(-i pi tau / 4 - i pi v) theta_1(pi v):
+    E(z, w) = exp(-i pi (z - w)) theta_1(pi (z - w)) / (pi theta_1'(0)),
+    psi(z, w) = pi theta_1'(0) theta_1(pi (z - w + zeta))
+    / (theta_1(pi (z - w)) theta_1(pi zeta)), and the third kind form is
+    pi (theta_1'/theta_1)(pi (z - q1)) - the same at q2."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+
+    def pt(s=0.5, t=0.3):
+        return complex(rng.normal() * s + 1j * rng.normal() * t)
+
+    for tau in (0.2 + 0.9j, -0.35 + 1.3j):
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+
+            def th1(v, k=0):
+                return mpmath.jtheta(1, mpmath.pi * mpmath.mpc(v), q, k)
+
+            for _ in range(8):
+                z, w, q1, zeta = pt(), pt(), pt(), pt(0.2, 0.2)
+                prime = mpmath.exp(-1j * mpmath.pi * (z - w)) * th1(z - w) / (mpmath.pi * th1(0, 1))
+                psi = mpmath.pi * th1(0, 1) * th1(z - w + zeta) / (th1(z - w) * th1(zeta))
+                third = mpmath.pi * (th1(z - q1, 1) / th1(z - q1) - th1(z - w, 1) / th1(z - w))
+                for got, want in (
+                    (prime_form_g1(z, w, tau), prime),
+                    (szego_g1(z, w, zeta, tau), psi),
+                    (third_kind_form_g1(z, q1, w, tau), third),
+                ):
+                    assert abs(got - complex(want)) <= 1e-10 * abs(complex(want))
+        for npairs in (2, 3):
+            for _ in range(10):
+                pairs = [(pt(), pt()) for _ in range(npairs)]
+                assert fay_check(tau, pt(0.2, 0.2), pairs) < 1e-11
+
+
+def test_genus_one_kernels_guard_the_theta_divisor():
+    tau = 0.2 + 0.9j
+    with pytest.raises(ThetaDivisorError):
+        szego_g1(0.3 + 0.1j, -0.2j, 0.0, tau)  # Theta(c) = 0
+    with pytest.raises(ThetaDivisorError):
+        third_kind_form_g1(0.3 + 0.1j, 0.3 + 0.1j, -0.2j, tau)  # z = q1
+    with pytest.raises(ThetaDivisorError):
+        fay_check(tau, 0.0, [(0.4 + 0.1j, -0.3j), (0.1 - 0.2j, 0.6j)])
+
+
+def test_genus_one_kernels_make_one_theta_sum(monkeypatch):
+    calls = []
+    inner = theta_mod._theta_sum
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(theta_mod, "_theta_sum", counted)
+    tau = 1.1j
+    pairs = [(0.4 + 0.1j, -0.3 + 0.05j), (0.1 - 0.2j, 0.6 + 0.15j), (-0.5j, 0.2)]
+    for kernel in (
+        lambda: prime_form_g1(0.3 + 0.1j, -0.2j, tau),
+        lambda: szego_g1(0.3 + 0.1j, -0.2j, 0.17 + 0.23j, tau),
+        lambda: third_kind_form_g1(0.3 + 0.1j, -0.2j, 0.4, tau),
+        lambda: fay_check(tau, 0.21 + 0.09j, pairs[:2]),
+        lambda: fay_check(tau, 0.21 + 0.09j, pairs),
+        lambda: hirota_check(tau, 0.13 + 0.07j, 0.5 + 0.1j, -0.4 + 0.2j, 0.1 - 0.3j, 0.01),
+    ):
+        calls.clear()
+        kernel()
+        assert len(calls) == 1
+
+
+def test_overflow_raises_a_typed_error():
+    with pytest.raises(OverflowError):
+        theta([10j], [[0.3j]], with_error=True)  # |Theta| is about e^1047
+    with pytest.raises(OverflowError):
+        szego_g1(10j, 0.1, 0.17 + 0.23j, 0.3j)
+
+
 def _siegel_spread(rng, g):
     """tau whose Im tau has eigenvalues in [0.3, 2], so that the box size and
     the tail bound matter."""
